@@ -3,8 +3,9 @@
 
 Runs a monitored scenario, then exposes the server's data through the
 HTTP JSON API — the wire path a web dashboard (or curl) would use — and
-demonstrates a client POSTing a telemetry batch to /api/ingest, exactly
-like the ESP32 client in the paper.
+demonstrates a client POSTing a telemetry batch to
+/api/v1/networks/default/ingest, exactly like the ESP32 client in the
+paper.
 
 Run:
     python examples/live_dashboard.py            # demo mode: serve, probe, exit
@@ -53,15 +54,16 @@ def main() -> None:
     http_server.start()
     print(f"dashboard serving at {http_server.url}")
 
+    network_url = f"{http_server.url}/api/v1/networks/default"
     try:
-        summary = fetch(f"{http_server.url}/api/summary")
-        print(f"\nGET /api/summary -> network health "
+        summary = fetch(f"{network_url}/summary")
+        print(f"\nGET .../summary -> network health "
               f"{summary['network_health']:.0f}/100, "
               f"PDR {summary['network_pdr']:.1%}, "
               f"{len(summary['nodes'])} nodes, {len(summary['links'])} links")
 
-        nodes = fetch(f"{http_server.url}/api/nodes")
-        print("GET /api/nodes   -> first row:", json.dumps(nodes[0]))
+        nodes = fetch(f"{network_url}/nodes")
+        print("GET .../nodes   -> first row:", json.dumps(nodes[0]))
 
         # A "real" client POSTing one batch, like the paper's ESP32 node.
         record = PacketRecord(
@@ -73,14 +75,14 @@ def main() -> None:
             node=99, batch_seq=0, sent_at=frozen_now, packet_records=(record,)
         ).to_json_bytes()
         request = urllib.request.Request(
-            f"{http_server.url}/api/ingest", data=batch, method="POST",
+            f"{network_url}/ingest", data=batch, method="POST",
             headers={"Content-Type": "application/json"},
         )
         with urllib.request.urlopen(request, timeout=10) as response:
             outcome = json.loads(response.read())
-        print("POST /api/ingest -> accepted:", outcome)
+        print("POST .../ingest -> accepted:", outcome)
 
-        nodes = fetch(f"{http_server.url}/api/nodes")
+        nodes = fetch(f"{network_url}/nodes")
         print(f"node 99 now visible to the server: "
               f"{any(row['node'] == 99 for row in nodes)}")
 

@@ -83,7 +83,6 @@ from repro.monitor.storage import MetricsStore
 from repro.monitor.transport import (
     HttpIngestTransport,
     IngestTransport,
-    MultiProcessIngestFront,
     SequenceGapTracker,
     TelemetryGapAccountant,
     UdpIngestTransport,
@@ -194,7 +193,6 @@ __all__ = [
     "IngestTransport",
     "HttpIngestTransport",
     "UdpIngestTransport",
-    "MultiProcessIngestFront",
     "SequenceGapTracker",
     "TelemetryGapAccountant",
     # monitoring: server and multi-tenancy

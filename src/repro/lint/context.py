@@ -51,8 +51,8 @@ OBS_SIM_MODULES: Tuple[str, ...] = ("recorder", "spans")
 #: (``ThreadingHTTPServer``) but the mutations happen here.  Modules
 #: *not* listed (``uplink``, ``fleet``, ``alerts``, ``dashboard``,
 #: ``store``...) are owner-thread or per-request constructs;
-#: ``transport.http``/``transport.mpfront`` are covered by the
-#: entry-point trigger instead (they subclass ``IngestTransport``).
+#: ``transport.http`` is covered by the entry-point trigger instead (it
+#: subclasses ``IngestTransport``).
 MONITOR_SHARED_MODULES: Tuple[str, ...] = (
     "server",
     "registry",

@@ -84,7 +84,7 @@ class Dashboard:
         """One summary row per known node."""
         scores = health_mod.network_health(self.store, now, self.report_interval_s)
         rows = []
-        for node in self.store.nodes():
+        for node, score in scores.items():
             status = self.store.latest_status(node)
             last = self.store.last_seen(node)
             rows.append(
@@ -100,7 +100,7 @@ class Dashboard:
                     "tx_frames": status.tx_frames if status else None,
                     "drops": status.drops if status else None,
                     "client_drops": self.store.reported_drops(node),
-                    "health": scores[node].score if node in scores else None,
+                    "health": score.score,
                 }
             )
         return rows
@@ -313,14 +313,15 @@ class Dashboard:
         document: Dict[str, Any] = {}
         if self.network_id is not None:
             document["network"] = self.network_id
+        # The node rows carry every node's score in store order, so the
+        # network score is their mean: health is computed once per read.
+        nodes = self.node_rows(now)
         return {
             **document,
             "now": now,
-            "network_health": health_mod.network_health_score(
-                self.store, now, self.report_interval_s
-            ),
+            "network_health": health_mod.mean_score(row["health"] for row in nodes),
             "network_pdr": metrics.network_pdr(self.store),
-            "nodes": self.node_rows(now),
+            "nodes": nodes,
             "links": self.link_rows(),
             "delivery": self.pdr_rows(),
             "composition": [

@@ -102,3 +102,41 @@ class TestTableFormatter:
     def test_empty_rows(self):
         table = _format_table(["x"], [])
         assert "x" in table
+
+
+class TestComputeOnce:
+    def pdr_scans_per_read(self, n_nodes, monkeypatch):
+        from repro.api import MonitorServer
+        from repro.monitor import metrics
+        from tests.unit.test_health import stream_into
+
+        clock = {"now": 0.0}
+        server = MonitorServer(clock=lambda: clock["now"])
+        now = stream_into(server, clock, n_nodes=n_nodes)
+        dashboard = Dashboard(server.store, report_interval_s=60.0)
+        calls = []
+        original = metrics.pdr_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "pdr_matrix", counting)
+        document = dashboard.to_json_dict(now)
+        monkeypatch.undo()
+        server.close()
+        assert len(document["nodes"]) == n_nodes
+        return len(calls)
+
+    def test_pdr_scans_do_not_grow_with_node_count(self, monkeypatch):
+        assert self.pdr_scans_per_read(4, monkeypatch) == self.pdr_scans_per_read(
+            16, monkeypatch
+        )
+
+    def test_network_health_is_mean_of_node_rows(self, dashboard):
+        from repro.monitor import health
+
+        document = dashboard.to_json_dict(20.0)
+        assert document["network_health"] == health.network_health_score(
+            dashboard.store, 20.0, dashboard.report_interval_s
+        )

@@ -1,9 +1,11 @@
 """Unit tests for health scoring."""
 
 import math
+import random
 
 import pytest
 
+from repro.api import MonitorServer, RecordBatch
 from repro.monitor import health
 from repro.monitor.records import Direction, PacketRecord, StatusRecord
 from repro.monitor.storage import MetricsStore
@@ -21,6 +23,69 @@ def status(node=1, seq=0, ts=0.0, battery=3.7, duty=0.01):
 @pytest.fixture
 def store():
     return MetricsStore()
+
+
+def stream_into(server, clock, n_nodes=16, duration_s=900.0, interval_s=60.0, seed=3):
+    """Feed ``server`` the batches ``n_nodes`` agents ship over ``duration_s``.
+
+    Every interval each node originates two unicast DATA packets (about
+    80 % reach their destination, which reports them in its next batch)
+    and one status record.  Node 1 falls silent halfway through so
+    liveness varies across nodes.
+    """
+    rng = random.Random(seed)
+    seqs = {node: 0 for node in range(1, n_nodes + 1)}
+    inbox = {node: [] for node in range(1, n_nodes + 1)}
+    packet_id = 0
+    ticks = int(duration_s // interval_s)
+    for tick in range(ticks):
+        now = (tick + 1) * interval_s
+        for node in range(1, n_nodes + 1):
+            if node == 1 and tick >= ticks // 2:
+                continue
+            deliveries, inbox[node] = inbox[node], []
+            packet_records = []
+            for _ in range(2):
+                packet_id += 1
+                dst = rng.choice([peer for peer in seqs if peer != node])
+                sent_at = now - rng.uniform(1.0, interval_s - 1.0)
+                seqs[node] += 1
+                packet_records.append(PacketRecord(
+                    node=node, seq=seqs[node], timestamp=sent_at,
+                    direction=Direction.OUT, src=node, dst=dst, next_hop=dst,
+                    prev_hop=node, ptype=3, packet_id=packet_id, size_bytes=40,
+                    airtime_s=0.05,
+                ))
+                if rng.random() < 0.8:
+                    inbox[dst].append((node, packet_id, sent_at + 0.5))
+            for src, pid, at in deliveries:
+                seqs[node] += 1
+                packet_records.append(PacketRecord(
+                    node=node, seq=seqs[node], timestamp=at,
+                    direction=Direction.IN, src=src, dst=node, next_hop=node,
+                    prev_hop=src, ptype=3, packet_id=pid, size_bytes=40,
+                    rssi_dbm=-100.0, snr_db=5.0,
+                ))
+            clock["now"] = now
+            result = server.ingest(RecordBatch(
+                node=node, batch_seq=tick, sent_at=now,
+                packet_records=tuple(packet_records),
+                status_records=(status(
+                    node=node, seq=tick, ts=now,
+                    battery=rng.uniform(3.2, 4.2), duty=rng.uniform(0.0, 0.3),
+                ),),
+            ))
+            assert result.ok
+    return ticks * interval_s
+
+
+@pytest.fixture
+def streamed():
+    clock = {"now": 0.0}
+    server = MonitorServer(clock=lambda: clock["now"])
+    now = stream_into(server, clock)
+    yield server, now
+    server.close()
 
 
 class TestNodeHealth:
@@ -99,3 +164,37 @@ class TestNetworkHealth:
 
     def test_empty_network_is_nan(self, store):
         assert math.isnan(health.network_health_score(store, now=0.0))
+
+
+class TestOneFormula:
+    def test_tile_health_equals_store_scan(self, streamed):
+        # The stream is shorter than the PDR window, so the cumulative
+        # tile counters and the windowed scan see the same deliveries.
+        server, now = streamed
+        shard = server.shard_for("default")
+        expected = health.network_health_score(server.store, now)
+        assert not math.isnan(expected)
+        assert shard.tile.health(now) == expected
+
+    def test_network_health_equals_per_node_health(self, streamed):
+        server, now = streamed
+        scores = health.network_health(server.store, now)
+        assert len(scores) == 16
+        assert scores == {
+            node: health.node_health(server.store, node, now) for node in scores
+        }
+
+    def test_network_health_scans_pdr_once(self, streamed, monkeypatch):
+        from repro.monitor import metrics
+
+        calls = []
+        original = metrics.pdr_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "pdr_matrix", counting)
+        server, now = streamed
+        health.network_health(server.store, now)
+        assert len(calls) == 1

@@ -219,6 +219,31 @@ class TestBatchedWrites:
             SqliteMetricsStore(flush_interval_s=0.0)
 
 
+    def test_self_metrics_store_sums_every_shard(self, tmp_path):
+        from repro.api import RecordBatch, sqlite_store_factory
+
+        server = MonitorServer(
+            store_factory=sqlite_store_factory(
+                str(tmp_path), flush_records=1, flush_interval_s=None
+            )
+        )
+        try:
+            for network_id, batches in (("default", 1), ("site-b", 3)):
+                for batch_seq in range(batches):
+                    assert server.ingest(RecordBatch(
+                        node=1, batch_seq=batch_seq, sent_at=0.0,
+                        packet_records=(packet_record(seq=batch_seq),),
+                        network_id=network_id,
+                    )).ok
+            document = server.self_metrics_document()["store"]
+            stats = [server.store_for(n).flush_stats for n in ("default", "site-b")]
+            assert document["flushes"] == sum(s.flushes for s in stats) >= 4
+            assert document["records_flushed"] == 4
+            assert document["flushes"] == server.self_metrics.store_flushes
+        finally:
+            server.close()
+
+
 class TestPragmasAndDurability:
     def test_wal_mode_on_file_backed_store(self, tmp_path):
         store = SqliteMetricsStore(str(tmp_path / "telemetry.db"))
