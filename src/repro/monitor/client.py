@@ -340,8 +340,7 @@ class MonitorClient:
                 # Records stay buffered; the next interval retries them
                 # under a new batch_seq with the same record seqs.
 
-        self.stats.uplink_bytes += self.uplink.wire_size(batch)
-        self.uplink.send(batch, on_result)
+        self.stats.uplink_bytes += self.uplink.send(batch, on_result)
 
 
 class SseStreamClient:

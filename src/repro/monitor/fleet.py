@@ -16,7 +16,10 @@ owns a :class:`TileAggregate` the ingest path feeds record-by-record:
 per-node liveness/battery/duty snapshots and per-pair delivery counters
 mirroring :func:`repro.monitor.metrics.pdr_matrix`'s matching rules with
 bounded memory.  :func:`materialized_tile` renders a tile from those
-aggregates in O(nodes in that network); :func:`fleet_overview` assembles
+aggregates: the formula runs only for nodes whose inputs changed since
+the previous read or whose last batch is older than one report
+interval, and every other node costs one comparison (see
+:meth:`TileAggregate.health`).  :func:`fleet_overview` assembles
 tiles into the overview document and caches it on the server keyed by
 ingest progress, so steady-state reads are O(1) snapshot hits no matter
 how many networks are resident.
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.mesh.addressing import BROADCAST
 from repro.mesh.packet import PacketType
@@ -77,6 +80,7 @@ class _NodeTelemetry:
         "queue_depth",
         "sent",
         "matched",
+        "fresh_score",
     )
 
     def __init__(self) -> None:
@@ -87,37 +91,48 @@ class _NodeTelemetry:
         #: Unicast DATA packets this node originated / saw delivered.
         self.sent = 0
         self.matched = 0
+        #: :meth:`score` at liveness 1.0; None until computed and again
+        #: whenever ``sent``, ``matched``, the duty or the battery change.
+        self.fresh_score: Optional[float] = None
+
+    def score(self, liveness: Optional[float]) -> float:
+        """This node's :func:`~repro.monitor.health.combined_score`."""
+        return health_mod.combined_score(
+            liveness,
+            health_mod.delivery_component(self.sent, self.matched),
+            health_mod.spectrum_component(self.duty_utilisation),
+            health_mod.battery_component(self.battery_v),
+        )
 
 
 class _PairDelivery:
-    """Bounded incremental mirror of :class:`repro.monitor.metrics.PairDelivery`.
+    """Bounded incremental :func:`~repro.monitor.metrics.pdr_matrix` id
+    matching for one (src, dst) pair.
 
-    ``sent`` counts origin first-attempt OUT observations; ``matched``
-    counts packet ids seen at *both* endpoints, whichever side reported
-    first.  Pending ids waiting for the other side live in bounded
-    insertion-ordered sets, so per-pair memory does not grow with
-    traffic; an id evicted before its match simply never matches (the
-    same packet is then conservatively counted as undelivered).
+    An id is sent once its origin reports a first-attempt OUT and
+    matched once it has been seen at *both* endpoints, whichever side
+    reported first.  Pending ids waiting for the other side live in
+    bounded insertion-ordered sets, so per-pair memory does not grow
+    with traffic; an id evicted before its match simply never matches
+    (the same packet is then conservatively counted as undelivered).
     """
 
-    __slots__ = ("sent", "matched", "_out_unmatched", "_out_matched", "_in_pending", "_bound")
+    __slots__ = ("_out_unmatched", "_out_matched", "_in_pending", "_bound")
 
     def __init__(self, bound: int) -> None:
-        self.sent = 0
-        self.matched = 0
         self._bound = bound
         self._out_unmatched: "OrderedDict[int, None]" = OrderedDict()
         self._out_matched: "OrderedDict[int, None]" = OrderedDict()
         self._in_pending: "OrderedDict[int, None]" = OrderedDict()
 
-    def observe_out(self, packet_id: int) -> bool:
-        """Origin reported the send; True when this completed a match."""
+    def observe_out(self, packet_id: int) -> Optional[bool]:
+        """Origin reported the send: None for a repeated report of an id
+        already counted (``pdr_matrix`` counts each id once), else
+        whether this completed a match."""
         if packet_id in self._out_unmatched or packet_id in self._out_matched:
-            return False  # duplicate origin report
-        self.sent += 1
+            return None
         if packet_id in self._in_pending:
             del self._in_pending[packet_id]
-            self.matched += 1
             _remember(self._out_matched, packet_id, self._bound)
             return True
         _remember(self._out_unmatched, packet_id, self._bound)
@@ -129,7 +144,6 @@ class _PairDelivery:
             return False  # duplicate delivery report
         if packet_id in self._out_unmatched:
             del self._out_unmatched[packet_id]
-            self.matched += 1
             _remember(self._out_matched, packet_id, self._bound)
             return True
         _remember(self._in_pending, packet_id, self._bound)
@@ -142,13 +156,18 @@ class TileAggregate:
     The ingest path calls :meth:`observe_batch` / :meth:`observe_packet`
     / :meth:`observe_status` for each accepted record (under the server
     lock — all methods are pure in-memory bookkeeping).  Reads then cost
-    O(nodes in this network) instead of O(records in the store).
+    no store access: :meth:`pdr` is O(1), and :meth:`health` runs the
+    formula only for the nodes whose inputs changed since the previous
+    read or that went silent for more than one report interval.
     """
 
     def __init__(self, pending_ids: int = DEFAULT_PENDING_IDS) -> None:
         self._pending_ids = pending_ids
         self._nodes: Dict[int, _NodeTelemetry] = {}
         self._pairs: Dict[Tuple[int, int], _PairDelivery] = {}
+        #: Unique unicast DATA ids sent / matched, summed over all pairs.
+        self._sent = 0
+        self._matched = 0
 
     # -- feeding ---------------------------------------------------------------
 
@@ -168,7 +187,11 @@ class TileAggregate:
         return pair
 
     def observe_batch(self, node: int, now: float) -> None:
-        """A batch from ``node`` was accepted at server time ``now``."""
+        """A batch from ``node`` was accepted at server time ``now``.
+
+        The cached score stays valid: ``last_seen`` only decides whether
+        :meth:`health` may use it.
+        """
         self._node(node).last_seen = now
 
     def observe_packet(self, record: PacketRecord) -> None:
@@ -177,18 +200,26 @@ class TileAggregate:
         if record.ptype != _DATA_PTYPE or record.dst == BROADCAST:
             return
         if record.direction is Direction.OUT:
-            if record.node == record.src and record.attempt == 1:
-                matched = self._pair(record.src, record.dst).observe_out(record.packet_id)
-                telemetry = self._node(record.src)
-                telemetry.sent += 1
-                if matched:
-                    telemetry.matched += 1
+            if record.node != record.src or record.attempt != 1:
+                return
+            matched = self._pair(record.src, record.dst).observe_out(record.packet_id)
+            if matched is None:
+                return  # a repeated origin report of an id already counted
+            source = self._nodes[record.src]
+            source.sent += 1
+            self._sent += 1
         else:
-            if record.node == record.dst:
-                if self._pair(record.src, record.dst).observe_in(record.packet_id):
-                    source = self._nodes.get(record.src)
-                    if source is not None:
-                        source.matched += 1
+            if record.node != record.dst:
+                return
+            matched = self._pair(record.src, record.dst).observe_in(record.packet_id)
+            if not matched:
+                return
+            # A match needs the origin's OUT, so the source is known.
+            source = self._nodes[record.src]
+        if matched:
+            source.matched += 1
+            self._matched += 1
+        source.fresh_score = None
 
     def observe_status(self, record: StatusRecord) -> None:
         """One accepted status record: refresh the node's snapshot."""
@@ -196,6 +227,7 @@ class TileAggregate:
         telemetry.battery_v = record.battery_v
         telemetry.duty_utilisation = record.duty_utilisation
         telemetry.queue_depth = record.queue_depth
+        telemetry.fresh_score = None
 
     def seed_from_store(self, store: MetricsStore) -> None:
         """Replay an already populated store into the aggregates.
@@ -241,11 +273,7 @@ class TileAggregate:
 
     def pdr(self) -> float:
         """Aggregate delivery ratio across all unicast pairs (NaN if idle)."""
-        sent = sum(pair.sent for pair in self._pairs.values())
-        if not sent:
-            return math.nan
-        matched = sum(pair.matched for pair in self._pairs.values())
-        return matched / sent
+        return self._matched / self._sent if self._sent else math.nan
 
     def health(self, now: float, report_interval_s: float = 60.0) -> float:
         """Network health score by the :mod:`repro.monitor.health` formula.
@@ -253,16 +281,28 @@ class TileAggregate:
         Liveness comes from the last accepted batch, delivery from the
         incremental match counters, spectrum and battery from the latest
         status snapshot.  A network with no data at all scores NaN.
+
+        A node heard from at most one (positive) interval ago has
+        liveness exactly 1.0 in float, so its score is its cached
+        ``fresh_score``, recomputed only after another input changed.
+        The cache does not depend on ``report_interval_s``, so callers
+        reading at different intervals share it.  Every other node goes
+        through the full formula.
         """
-        return health_mod.mean_score(
-            health_mod.combined_score(
-                health_mod.liveness_component(telemetry.last_seen, now, report_interval_s),
-                health_mod.delivery_component(telemetry.sent, telemetry.matched),
-                health_mod.spectrum_component(telemetry.duty_utilisation),
-                health_mod.battery_component(telemetry.battery_v),
-            )
-            for telemetry in self._nodes.values()
-        )
+        cacheable = report_interval_s > 0
+        scores: List[float] = []
+        for telemetry in self._nodes.values():
+            last_seen = telemetry.last_seen
+            if cacheable and last_seen is not None and now - last_seen <= report_interval_s:
+                score = telemetry.fresh_score
+                if score is None:
+                    score = telemetry.fresh_score = telemetry.score(1.0)
+            else:
+                score = telemetry.score(
+                    health_mod.liveness_component(last_seen, now, report_interval_s)
+                )
+            scores.append(score)
+        return health_mod.mean_score(scores)
 
 
 def materialized_tile(

@@ -60,13 +60,10 @@ class Uplink(ABC):
         self.stats = UplinkStats()
 
     @abstractmethod
-    def send(self, batch: RecordBatch, on_result: ResultCallback) -> None:
+    def send(self, batch: RecordBatch, on_result: ResultCallback) -> int:
         """Ship ``batch``; invoke ``on_result(ok)`` when the outcome is known
-        from the *client's* point of view."""
-
-    @abstractmethod
-    def wire_size(self, batch: RecordBatch) -> int:
-        """Bytes this batch occupies on this uplink's wire format."""
+        from the *client's* point of view.  Returns the bytes the batch
+        occupies on this uplink's wire format."""
 
 
 class OutOfBandUplink(Uplink):
@@ -105,13 +102,10 @@ class OutOfBandUplink(Uplink):
         #: compact telemetry format over HTTP (the T1/T3 size ablation).
         self._codec = resolve_codec(codec)
 
-    def wire_size(self, batch: RecordBatch) -> int:
-        return len(self._codec.encode(batch))
-
     def _latency(self) -> float:
         return max(self._latency_mean + self._rng.uniform(-self._jitter, self._jitter), 1e-4)
 
-    def send(self, batch: RecordBatch, on_result: ResultCallback) -> None:
+    def send(self, batch: RecordBatch, on_result: ResultCallback) -> int:
         raw = self._codec.encode(batch)
         self.stats.batches_submitted += 1
         self.stats.bytes_sent += len(raw)
@@ -119,7 +113,7 @@ class OutOfBandUplink(Uplink):
             # Request lost in transit: the server never sees it.
             self.stats.batches_lost += 1
             self._sim.call_in(self._timeout, lambda: on_result(False))
-            return
+            return len(raw)
 
         def deliver() -> None:
             if self._codec.name == "json":
@@ -156,6 +150,7 @@ class OutOfBandUplink(Uplink):
             self._sim.call_in(self._latency(), lambda: on_result(ok))
 
         self._sim.call_in(self._latency(), deliver)
+        return len(raw)
 
 
 class InBandUplink(Uplink):
@@ -174,10 +169,7 @@ class InBandUplink(Uplink):
         self._node = node
         self.gateway_address = gateway_address
 
-    def wire_size(self, batch: RecordBatch) -> int:
-        return len(batch.to_binary())
-
-    def send(self, batch: RecordBatch, on_result: ResultCallback) -> None:
+    def send(self, batch: RecordBatch, on_result: ResultCallback) -> int:
         raw = batch.to_binary()
         self.stats.batches_submitted += 1
         self.stats.bytes_sent += len(raw)
@@ -185,10 +177,11 @@ class InBandUplink(Uplink):
         if msg_id is None:
             self.stats.batches_lost += 1
             on_result(False)
-            return
+            return len(raw)
         # At-most-once: locally accepted counts as done for the client.
         self.stats.batches_delivered += 1
         on_result(True)
+        return len(raw)
 
 
 class ReliableInBandUplink(Uplink):
@@ -208,10 +201,7 @@ class ReliableInBandUplink(Uplink):
         self._messenger = messenger
         self.gateway_address = gateway_address
 
-    def wire_size(self, batch: RecordBatch) -> int:
-        return len(batch.to_binary())
-
-    def send(self, batch: RecordBatch, on_result: ResultCallback) -> None:
+    def send(self, batch: RecordBatch, on_result: ResultCallback) -> int:
         raw = batch.to_binary()
         self.stats.batches_submitted += 1
         self.stats.bytes_sent += len(raw)
@@ -226,6 +216,7 @@ class ReliableInBandUplink(Uplink):
         self._messenger.send(
             self.gateway_address, raw, ptype=PacketType.TELEMETRY, on_result=result
         )
+        return len(raw)
 
 
 class GatewayBridge:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.monitor.client import MonitorClient, MonitorClientConfig
-from repro.monitor.records import RecordBatch
 from repro.monitor.uplink import Uplink
 
 
@@ -17,9 +16,6 @@ class FakeUplink(Uplink):
         self.ok = ok
         self.deferred = []
 
-    def wire_size(self, batch: RecordBatch) -> int:
-        return len(batch.to_json_bytes())
-
     def send(self, batch, on_result):
         self.batches.append(batch)
         self.stats.batches_submitted += 1
@@ -27,6 +23,7 @@ class FakeUplink(Uplink):
         if self.ok is not None:
             on_result(self.ok)
             self.deferred.pop()
+        return len(batch.to_json_bytes())
 
 
 @pytest.fixture

@@ -176,6 +176,27 @@ class TestOneFormula:
         assert not math.isnan(expected)
         assert shard.tile.health(now) == expected
 
+    def test_repeated_origin_report_counts_once(self):
+        # A packet id that repeats at the origin (after the 16-bit wrap,
+        # or an agent that restarted its numbering) is one sent packet
+        # for pdr_matrix, so the tile must not count it twice either.
+        def data(node, seq, direction):
+            return PacketRecord(
+                node=node, seq=seq, timestamp=1.0, direction=direction, src=1,
+                dst=2, next_hop=2, prev_hop=1, ptype=3, packet_id=5, size_bytes=40,
+            )
+
+        server = MonitorServer(clock=lambda: 2.0)
+        out = (data(1, 0, Direction.OUT), data(1, 1, Direction.OUT))
+        assert server.ingest(RecordBatch(node=1, batch_seq=0, sent_at=1.0, packet_records=out)).ok
+        delivered = (data(2, 0, Direction.IN),)
+        assert server.ingest(RecordBatch(node=2, batch_seq=0, sent_at=1.0, packet_records=delivered)).ok
+        tile = server.shard_for("default").tile
+        assert health.network_health_score(server.store, 10.0) == 100.0
+        assert tile.health(10.0) == 100.0
+        assert tile.pdr() == 1.0
+        server.close()
+
     def test_network_health_equals_per_node_health(self, streamed):
         server, now = streamed
         scores = health.network_health(server.store, now)

@@ -72,9 +72,8 @@ class TestOutOfBand:
         server = MonitorServer()
         uplink = OutOfBandUplink(sim, server, RngRegistry(1).stream("u"))
         batch = make_batch()
-        uplink.send(batch, lambda ok: None)
+        assert uplink.send(batch, lambda ok: None) == len(batch.to_json_bytes())
         assert uplink.stats.bytes_sent == len(batch.to_json_bytes())
-        assert uplink.wire_size(batch) == len(batch.to_json_bytes())
 
     def test_invalid_loss_rejected(self):
         sim = Simulator()
@@ -119,7 +118,7 @@ class TestInBand:
     def test_wire_size_is_binary(self, small_mesh):
         uplink = InBandUplink(small_mesh.nodes[9], gateway_address=1)
         batch = make_batch(node=9)
-        assert uplink.wire_size(batch) == len(batch.to_binary())
+        assert uplink.send(batch, lambda ok: None) == len(batch.to_binary())
 
     def test_bridge_ignores_data_messages(self, small_mesh):
         world = small_mesh
