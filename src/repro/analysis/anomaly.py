@@ -36,7 +36,7 @@ def detect_anomalies(
     """Rolling z-score anomaly detection.
 
     Args:
-        points: series as produced by ``MetricsStore.status_series`` —
+        points: series as produced by ``TelemetryStore.status_series`` —
             dicts with a ``ts`` key and the named field.
         field: which field to analyse.
         window: trailing window length (points before the candidate).

@@ -14,7 +14,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from repro.analysis.reconstruct import reconstruct_topology
 from repro.monitor import metrics
-from repro.monitor.storage import MetricsStore
+from repro.monitor.storage import TelemetryStore
 from repro.phy.link import LinkModel
 from repro.phy.params import LoRaParams
 from repro.sim.topology import Topology
@@ -65,7 +65,7 @@ class TopologyAccuracy:
 
 
 def topology_accuracy(
-    store: MetricsStore,
+    store: TelemetryStore,
     topology: Topology,
     link_model: LinkModel,
     params: LoRaParams,
@@ -82,7 +82,7 @@ def topology_accuracy(
 
 
 def link_rssi_error(
-    store: MetricsStore,
+    store: TelemetryStore,
     topology: Topology,
     link_model: LinkModel,
     params: LoRaParams,
@@ -127,7 +127,7 @@ class PdrComparison:
 
 
 def pdr_estimation_error(
-    store: MetricsStore,
+    store: TelemetryStore,
     true_sent: int,
     true_delivered: int,
     since: Optional[float] = None,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.monitor import metrics
-from repro.monitor.storage import MetricsStore
+from repro.monitor.storage import TelemetryStore
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class CongestedRelay:
 
 
 def congested_relays(
-    store: MetricsStore,
+    store: TelemetryStore,
     retx_threshold: float = 0.25,
     airtime_share_threshold: float = 0.10,
 ) -> List[CongestedRelay]:
@@ -69,7 +69,7 @@ class HiddenTerminalPair:
 
 
 def hidden_terminal_pairs(
-    store: MetricsStore,
+    store: TelemetryStore,
     min_frames: int = 10,
 ) -> List[HiddenTerminalPair]:
     """Find potential hidden-terminal pairs from the link evidence.
@@ -122,7 +122,7 @@ class AsymmetricLink:
 
 
 def asymmetric_links(
-    store: MetricsStore,
+    store: TelemetryStore,
     delta_threshold_db: float = 6.0,
     min_frames: int = 5,
 ) -> List[AsymmetricLink]:
@@ -167,7 +167,7 @@ class StarvingSource:
 
 
 def starving_sources(
-    store: MetricsStore,
+    store: TelemetryStore,
     gap_threshold: float = 0.3,
     min_sent: int = 5,
 ) -> List[StarvingSource]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.monitor import metrics
-from repro.monitor.storage import MetricsStore
+from repro.monitor.storage import TelemetryStore
 from repro.phy.link import SNR_FLOOR_DB
 
 #: Required SNR margin kept in reserve (fading headroom), dB.
@@ -62,7 +62,7 @@ def recommend_sf(
 
 
 def sf_recommendations(
-    store: MetricsStore,
+    store: TelemetryStore,
     current_sf: int,
     min_frames: int = 10,
     margin_db: float = ADR_MARGIN_DB,
@@ -107,7 +107,7 @@ class GatewayPlacement:
 
 
 def best_gateway_candidates(
-    store: MetricsStore,
+    store: TelemetryStore,
     top: int = 3,
 ) -> List[GatewayPlacement]:
     """Rank nodes by mean shortest-path hop count to everyone else on the

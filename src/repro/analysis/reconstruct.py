@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.monitor import metrics
-from repro.monitor.storage import MetricsStore
+from repro.monitor.storage import TelemetryStore
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class ReconstructedLink:
 
 
 def reconstruct_topology(
-    store: MetricsStore,
+    store: TelemetryStore,
     since: Optional[float] = None,
     min_frames: int = 1,
 ) -> Dict[Tuple[int, int], ReconstructedLink]:
@@ -80,7 +80,7 @@ def reconstruct_topology(
 
 
 def reconstructed_adjacency(
-    store: MetricsStore,
+    store: TelemetryStore,
     since: Optional[float] = None,
     min_frames: int = 1,
 ) -> Dict[int, List[int]]:

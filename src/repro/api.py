@@ -30,7 +30,8 @@ The facade is organised by layer:
 * **Campaigns** — :class:`CampaignSpec`, :class:`CampaignPlan`,
   :class:`CampaignRunner`, :func:`aggregate_report`.
 * **Monitoring** — client (:class:`MonitorClient`), uplinks, the
-  multi-tenant :class:`MonitorServer` + :class:`NetworkRegistry`, stores,
+  multi-tenant :class:`MonitorServer` + :class:`NetworkRegistry`, the
+  :class:`TelemetryStore` protocol and its two stores,
   dashboard, HTTP server and the v1 API schema.
 * **Streaming** — the push pipeline: :class:`StreamHub` + subscriptions,
   the ``repro.stream/1`` event schema, the :class:`SseStreamClient`
@@ -79,7 +80,7 @@ from repro.monitor.stream import (
     encode_event,
 )
 from repro.monitor.sqlitestore import SqliteMetricsStore, sqlite_store_factory
-from repro.monitor.storage import MetricsStore
+from repro.monitor.storage import MetricsStore, TelemetryStore
 from repro.monitor.transport import (
     HttpIngestTransport,
     IngestTransport,
@@ -206,6 +207,7 @@ __all__ = [
     "fleet_overview",
     "network_tile",
     # monitoring: stores
+    "TelemetryStore",
     "MetricsStore",
     "SqliteMetricsStore",
     "sqlite_store_factory",

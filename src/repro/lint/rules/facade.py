@@ -105,6 +105,7 @@ _FACADE_NAMES: FrozenSet[str] = frozenset(
         "NetworkShard",
         "fleet_overview",
         "network_tile",
+        "TelemetryStore",
         "MetricsStore",
         "SqliteMetricsStore",
         "sqlite_store_factory",

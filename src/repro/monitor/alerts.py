@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.monitor import metrics
-from repro.monitor.storage import MetricsStore
+from repro.monitor.storage import TelemetryStore
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class AlertRule(ABC):
     severity: str = "warning"
 
     @abstractmethod
-    def conditions(self, store: MetricsStore, now: float) -> List[Tuple[Optional[int], str]]:
+    def conditions(self, store: TelemetryStore, now: float) -> List[Tuple[Optional[int], str]]:
         """Return (node, message) for every currently firing condition."""
 
     def node_conditions(self, delta: "NodeDelta", now: float) -> Optional[List[str]]:
@@ -98,7 +98,7 @@ class SilentNodeRule(AlertRule):
     def __init__(self, max_silence_s: float) -> None:
         self.max_silence_s = max_silence_s
 
-    def conditions(self, store: MetricsStore, now: float) -> List[Tuple[Optional[int], str]]:
+    def conditions(self, store: TelemetryStore, now: float) -> List[Tuple[Optional[int], str]]:
         firing = []
         for node in store.nodes():
             last = store.last_seen(node)
@@ -132,7 +132,7 @@ class LowPdrRule(AlertRule):
         self.window_s = window_s
         self.min_sent = min_sent
 
-    def conditions(self, store: MetricsStore, now: float) -> List[Tuple[Optional[int], str]]:
+    def conditions(self, store: TelemetryStore, now: float) -> List[Tuple[Optional[int], str]]:
         firing = []
         pairs = metrics.pdr_matrix(store, since=now - self.window_s, until=now)
         for (src, dst), pair in sorted(pairs.items()):
@@ -154,7 +154,7 @@ class DutyCycleRule(AlertRule):
     def __init__(self, threshold: float = 0.8) -> None:
         self.threshold = threshold
 
-    def conditions(self, store: MetricsStore, now: float) -> List[Tuple[Optional[int], str]]:
+    def conditions(self, store: TelemetryStore, now: float) -> List[Tuple[Optional[int], str]]:
         firing = []
         for node in store.nodes():
             status = store.latest_status(node)
@@ -181,7 +181,7 @@ class BatteryLowRule(AlertRule):
     def __init__(self, threshold_v: float = 3.4) -> None:
         self.threshold_v = threshold_v
 
-    def conditions(self, store: MetricsStore, now: float) -> List[Tuple[Optional[int], str]]:
+    def conditions(self, store: TelemetryStore, now: float) -> List[Tuple[Optional[int], str]]:
         firing = []
         for node in store.nodes():
             status = store.latest_status(node)
@@ -206,7 +206,7 @@ class QueueBacklogRule(AlertRule):
     def __init__(self, threshold: int = 10) -> None:
         self.threshold = threshold
 
-    def conditions(self, store: MetricsStore, now: float) -> List[Tuple[Optional[int], str]]:
+    def conditions(self, store: TelemetryStore, now: float) -> List[Tuple[Optional[int], str]]:
         firing = []
         for node in store.nodes():
             status = store.latest_status(node)
@@ -258,7 +258,7 @@ class AlertEngine:
 
     def __init__(
         self,
-        store: MetricsStore,
+        store: TelemetryStore,
         rules: Optional[List[AlertRule]] = None,
         history_limit: int = DEFAULT_HISTORY_LIMIT,
     ) -> None:

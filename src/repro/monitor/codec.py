@@ -46,6 +46,9 @@ from repro.monitor.records import (
     PacketRecord,
     RecordBatch,
     StatusRecord,
+    check_record_counts,
+    pack_record_body,
+    unpack_record_body,
 )
 
 #: ``Content-Type`` of the JSON batch encoding (the paper's POST body).
@@ -117,8 +120,7 @@ class BinaryCodec(Codec):
     content_type = BINARY_CONTENT_TYPE
 
     def encode(self, batch: RecordBatch) -> bytes:
-        if len(batch.packet_records) > 0xFFFF or len(batch.status_records) > 0xFF:
-            raise EncodeError("too many records for a telemetry datagram")
+        check_record_counts(batch, "telemetry datagram")
         network = b"" if batch.network_id == DEFAULT_NETWORK_ID else batch.network_id.encode("ascii")
         if len(network) > MAX_NETWORK_ID_BYTES:
             raise EncodeError(f"network id {batch.network_id!r} too long for the datagram format")
@@ -134,10 +136,7 @@ class BinaryCodec(Codec):
             len(batch.packet_records),
             len(batch.status_records),
         )
-        parts = [header, network]
-        parts.extend(record.to_binary() for record in batch.packet_records)
-        parts.extend(record.to_binary() for record in batch.status_records)
-        return b"".join(parts)
+        return header + network + pack_record_body(batch)
 
     def decode(self, raw: bytes) -> RecordBatch:
         if len(raw) < DATAGRAM_HEADER_SIZE:
@@ -161,26 +160,15 @@ class BinaryCodec(Codec):
                 raise DecodeError("telemetry datagram network id is not ASCII") from exc
             if not is_valid_network_id(network_id):
                 raise DecodeError(f"bad network id {network_id!r}")
-        offset += net_len
-        if len(raw) < offset + n_packets * PacketRecord.BINARY_SIZE:
-            raise DecodeError("telemetry datagram packet records truncated")
-        packets: List[PacketRecord] = []
-        for _ in range(n_packets):
-            packets.append(PacketRecord.from_binary_at(raw, offset, node))
-            offset += PacketRecord.BINARY_SIZE
-        status: List[StatusRecord] = []
-        for _ in range(n_status):
-            record, consumed = StatusRecord.from_binary(raw[offset:], node=node)
-            status.append(record)
-            offset += consumed
-        if offset != len(raw):
-            raise DecodeError(f"{len(raw) - offset} trailing bytes after telemetry datagram")
+        packets, status = unpack_record_body(
+            raw, offset + net_len, node, n_packets, n_status, "telemetry datagram"
+        )
         return RecordBatch(
             node=node,
             batch_seq=batch_seq,
             sent_at=sent_cs / 100.0,
-            packet_records=tuple(packets),
-            status_records=tuple(status),
+            packet_records=packets,
+            status_records=status,
             dropped_records=dropped,
             network_id=network_id,
         )

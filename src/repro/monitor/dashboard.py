@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 from repro.monitor import health as health_mod
 from repro.monitor import metrics
 from repro.monitor.alerts import AlertEngine
-from repro.monitor.storage import MetricsStore
+from repro.monitor.storage import TelemetryStore
 
 if TYPE_CHECKING:  # the observability layer is optional for the dashboard
     from repro.obs.recorder import FlightRecorder
@@ -50,7 +50,7 @@ class Dashboard:
 
     def __init__(
         self,
-        store: MetricsStore,
+        store: TelemetryStore,
         alert_engine: Optional[AlertEngine] = None,
         report_interval_s: float = 60.0,
         monitor_server: Optional[Any] = None,

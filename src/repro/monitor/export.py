@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 from repro.errors import DecodeError
 from repro.monitor.records import PacketRecord, StatusRecord
-from repro.monitor.storage import MetricsStore
+from repro.monitor.storage import MetricsStore, TelemetryStore
 
 PACKET_CSV_FIELDS = (
     "node", "seq", "ts", "dir", "src", "dst", "next_hop", "prev_hop",
@@ -29,7 +29,7 @@ STATUS_CSV_FIELDS = (
 )
 
 
-def export_packet_records_csv(store: MetricsStore, path: Union[str, Path]) -> int:
+def export_packet_records_csv(store: TelemetryStore, path: Union[str, Path]) -> int:
     """Write all packet records to a CSV file.
 
     Returns:
@@ -47,7 +47,7 @@ def export_packet_records_csv(store: MetricsStore, path: Union[str, Path]) -> in
     return count
 
 
-def export_status_records_csv(store: MetricsStore, path: Union[str, Path]) -> int:
+def export_status_records_csv(store: TelemetryStore, path: Union[str, Path]) -> int:
     """Write all status records to a CSV file (neighbor lists omitted —
     use JSONL for those).
 
@@ -68,7 +68,7 @@ def export_status_records_csv(store: MetricsStore, path: Union[str, Path]) -> in
     return count
 
 
-def export_jsonl(store: MetricsStore, path: Union[str, Path]) -> int:
+def export_jsonl(store: TelemetryStore, path: Union[str, Path]) -> int:
     """Write every record (packet and status, with neighbor lists) as
     JSON lines.  Lossless up to the JSON field rounding.
 
@@ -89,7 +89,7 @@ def export_jsonl(store: MetricsStore, path: Union[str, Path]) -> int:
     return count
 
 
-def import_jsonl(path: Union[str, Path], store: Optional[MetricsStore] = None) -> MetricsStore:
+def import_jsonl(path: Union[str, Path], store: Optional[TelemetryStore] = None) -> TelemetryStore:
     """Rebuild a metrics store from a JSONL export.
 
     Args:

@@ -50,7 +50,7 @@ from repro.mesh.packet import PacketType
 from repro.monitor import health as health_mod
 from repro.monitor.alerts import NodeDelta
 from repro.monitor.records import Direction, PacketRecord, StatusRecord
-from repro.monitor.storage import MetricsStore
+from repro.monitor.storage import TelemetryStore
 
 if TYPE_CHECKING:
     from repro.monitor.registry import NetworkShard
@@ -78,6 +78,7 @@ class _NodeTelemetry:
         "battery_v",
         "duty_utilisation",
         "queue_depth",
+        "status_seq",
         "sent",
         "matched",
         "fresh_score",
@@ -88,6 +89,8 @@ class _NodeTelemetry:
         self.battery_v: Optional[float] = None
         self.duty_utilisation: Optional[float] = None
         self.queue_depth: Optional[int] = None
+        #: ``seq`` of the status record the snapshot above comes from.
+        self.status_seq: Optional[int] = None
         #: Unicast DATA packets this node originated / saw delivered.
         self.sent = 0
         self.matched = 0
@@ -222,14 +225,22 @@ class TileAggregate:
         source.fresh_score = None
 
     def observe_status(self, record: StatusRecord) -> None:
-        """One accepted status record: refresh the node's snapshot."""
+        """One accepted status record: refresh the node's snapshot.
+
+        The snapshot is the highest ``seq`` seen, like the store's
+        ``latest_status``: a record that arrives after a newer one is
+        ignored.
+        """
         telemetry = self._node(record.node)
+        if telemetry.status_seq is not None and record.seq < telemetry.status_seq:
+            return
+        telemetry.status_seq = record.seq
         telemetry.battery_v = record.battery_v
         telemetry.duty_utilisation = record.duty_utilisation
         telemetry.queue_depth = record.queue_depth
         telemetry.fresh_score = None
 
-    def seed_from_store(self, store: MetricsStore) -> None:
+    def seed_from_store(self, store: TelemetryStore) -> None:
         """Replay an already populated store into the aggregates.
 
         Called once when a shard adopts an external store (the

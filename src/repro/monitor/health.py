@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.monitor import metrics
-from repro.monitor.storage import MetricsStore
+from repro.monitor.storage import TelemetryStore
 
 BATTERY_EMPTY_V = 3.0
 BATTERY_FULL_V = 4.2
@@ -109,7 +109,7 @@ def mean_score(scores: Iterable[float]) -> float:
 
 
 def _source_totals(
-    store: MetricsStore, now: float, pdr_window_s: float
+    store: TelemetryStore, now: float, pdr_window_s: float
 ) -> Dict[int, Tuple[int, int]]:
     """(sent, delivered) per traffic source over one windowed PDR scan."""
     totals: Dict[int, Tuple[int, int]] = {}
@@ -121,7 +121,7 @@ def _source_totals(
 
 
 def _score(
-    store: MetricsStore,
+    store: TelemetryStore,
     node: int,
     now: float,
     report_interval_s: float,
@@ -143,7 +143,7 @@ def _score(
 
 
 def node_health(
-    store: MetricsStore,
+    store: TelemetryStore,
     node: int,
     now: float,
     report_interval_s: float = 60.0,
@@ -155,7 +155,7 @@ def node_health(
 
 
 def network_health(
-    store: MetricsStore,
+    store: TelemetryStore,
     now: float,
     report_interval_s: float = 60.0,
 ) -> Dict[int, HealthScore]:
@@ -168,7 +168,7 @@ def network_health(
 
 
 def network_health_score(
-    store: MetricsStore,
+    store: TelemetryStore,
     now: float,
     report_interval_s: float = 60.0,
 ) -> float:

@@ -85,7 +85,8 @@ class ServerSelfMetrics:
 
     Everything needed to answer "is the monitoring server itself
     healthy?" — exposed over ``GET /api/v1/server`` and on the
-    dashboard.
+    dashboard, next to the stores' flush counters, which the stores
+    themselves keep.
     """
 
     batches_ingested: int = 0
@@ -100,18 +101,6 @@ class ServerSelfMetrics:
     #: while the global queue still had room (noisy-neighbour control).
     quota_rejections: int = 0
     queue_high_water: int = 0
-    # The metrics object is owned by one MonitorServer, which serialises
-    # every mutation (note_flush included) under its ingest lock.
-    store_flushes: int = 0  # guarded-by: MonitorServer._lock
-    flush_latency_last_s: float = 0.0  # guarded-by: MonitorServer._lock
-    flush_latency_max_s: float = 0.0  # guarded-by: MonitorServer._lock
-    flush_latency_total_s: float = 0.0  # guarded-by: MonitorServer._lock
-
-    def note_flush(self, latency_s: float) -> None:
-        self.store_flushes += 1
-        self.flush_latency_last_s = latency_s
-        self.flush_latency_max_s = max(self.flush_latency_max_s, latency_s)
-        self.flush_latency_total_s += latency_s
 
     @property
     def records_ingested(self) -> int:
@@ -130,10 +119,6 @@ class ServerSelfMetrics:
             "batches_dropped": self.batches_dropped,
             "quota_rejections": self.quota_rejections,
             "queue_high_water": self.queue_high_water,
-            "store_flushes": self.store_flushes,
-            "flush_latency_last_ms": self.flush_latency_last_s * 1000.0,
-            "flush_latency_max_ms": self.flush_latency_max_s * 1000.0,
-            "flush_latency_total_ms": self.flush_latency_total_s * 1000.0,
         }
 
 

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.mesh.addressing import BROADCAST
 from repro.mesh.packet import PacketType
 from repro.monitor.records import Direction
-from repro.monitor.storage import MetricsStore
+from repro.monitor.storage import TelemetryStore
 
 
 @dataclass
@@ -60,7 +60,7 @@ class LinkQuality:
 
 
 def link_quality(
-    store: MetricsStore,
+    store: TelemetryStore,
     since: Optional[float] = None,
     until: Optional[float] = None,
 ) -> Dict[Tuple[int, int], LinkQuality]:
@@ -101,7 +101,7 @@ class PairDelivery:
 
 
 def pdr_matrix(
-    store: MetricsStore,
+    store: TelemetryStore,
     ptype: int = int(PacketType.DATA),
     since: Optional[float] = None,
     until: Optional[float] = None,
@@ -135,7 +135,7 @@ def pdr_matrix(
 
 
 def network_pdr(
-    store: MetricsStore,
+    store: TelemetryStore,
     ptype: int = int(PacketType.DATA),
     since: Optional[float] = None,
     until: Optional[float] = None,
@@ -158,7 +158,7 @@ class TrafficCell:
 
 
 def traffic_matrix(
-    store: MetricsStore,
+    store: TelemetryStore,
     since: Optional[float] = None,
     until: Optional[float] = None,
 ) -> Dict[Tuple[int, int], TrafficCell]:
@@ -178,7 +178,7 @@ def traffic_matrix(
 
 
 def airtime_by_node(
-    store: MetricsStore,
+    store: TelemetryStore,
     since: Optional[float] = None,
     until: Optional[float] = None,
 ) -> Dict[int, float]:
@@ -190,7 +190,7 @@ def airtime_by_node(
 
 
 def duty_cycle_by_node(
-    store: MetricsStore,
+    store: TelemetryStore,
     window_s: float,
     until: Optional[float] = None,
 ) -> Dict[int, float]:
@@ -227,7 +227,7 @@ class LatencyStats:
 
 
 def delivery_latency(
-    store: MetricsStore,
+    store: TelemetryStore,
     ptype: int = int(PacketType.DATA),
     since: Optional[float] = None,
     until: Optional[float] = None,
@@ -258,7 +258,7 @@ def delivery_latency(
     return stats
 
 
-def route_taken(store: MetricsStore, src: int, packet_id: int) -> List[Tuple[int, float]]:
+def route_taken(store: TelemetryStore, src: int, packet_id: int) -> List[Tuple[int, float]]:
     """Nodes that transmitted packet (src, packet_id), ordered by time.
 
     Reconstructs the forwarding path of one packet from OUT records —
@@ -284,7 +284,7 @@ class TypeBreakdownRow:
 
 
 def type_breakdown(
-    store: MetricsStore,
+    store: TelemetryStore,
     since: Optional[float] = None,
     until: Optional[float] = None,
 ) -> List[TypeBreakdownRow]:
@@ -326,7 +326,7 @@ class GraphEdge:
     frames_heard: int
 
 
-def neighbor_graph(store: MetricsStore) -> List[GraphEdge]:
+def neighbor_graph(store: TelemetryStore) -> List[GraphEdge]:
     """Network graph as the nodes themselves report it.
 
     Each node's *latest* status record carries its neighbor table; the
@@ -351,7 +351,7 @@ def neighbor_graph(store: MetricsStore) -> List[GraphEdge]:
 
 
 def retransmission_rate(
-    store: MetricsStore,
+    store: TelemetryStore,
     since: Optional[float] = None,
     until: Optional[float] = None,
 ) -> Dict[int, float]:

@@ -516,8 +516,7 @@ class RecordBatch:
 
     def to_binary(self) -> bytes:
         """Compact encoding for the in-band uplink."""
-        if len(self.packet_records) > 0xFFFF or len(self.status_records) > 0xFF:
-            raise EncodeError("too many records for a binary batch")
+        check_record_counts(self, "binary batch")
         header = struct.pack(
             self._BINARY_HEADER,
             _BATCH_MAGIC,
@@ -529,10 +528,7 @@ class RecordBatch:
             len(self.packet_records),
             len(self.status_records),
         )
-        parts = [header]
-        parts.extend(record.to_binary() for record in self.packet_records)
-        parts.extend(record.to_binary() for record in self.status_records)
-        return b"".join(parts)
+        return header + pack_record_body(self)
 
     @classmethod
     def from_binary(cls, raw: bytes) -> "RecordBatch":
@@ -546,25 +542,60 @@ class RecordBatch:
             raise DecodeError(f"bad batch magic 0x{magic:04X}")
         if version != SCHEMA_VERSION:
             raise DecodeError(f"unsupported schema version {version}")
-        offset = header_size
-        if len(raw) < offset + n_packets * PacketRecord.BINARY_SIZE:
-            raise DecodeError("binary batch packet records truncated")
-        packets: List[PacketRecord] = []
-        for _ in range(n_packets):
-            packets.append(PacketRecord.from_binary_at(raw, offset, node))
-            offset += PacketRecord.BINARY_SIZE
-        status: List[StatusRecord] = []
-        for _ in range(n_status):
-            record, consumed = StatusRecord.from_binary(raw[offset:], node=node)
-            status.append(record)
-            offset += consumed
-        if offset != len(raw):
-            raise DecodeError(f"{len(raw) - offset} trailing bytes after binary batch")
+        packets, status = unpack_record_body(
+            raw, header_size, node, n_packets, n_status, "binary batch"
+        )
         return cls(
             node=node,
             batch_seq=batch_seq,
             sent_at=sent_cs / 100.0,
-            packet_records=tuple(packets),
-            status_records=tuple(status),
+            packet_records=packets,
+            status_records=status,
             dropped_records=dropped,
         )
+
+
+# -- packed record body ----------------------------------------------------------
+#
+# The in-band batch (magic "LM") and the telemetry datagram (magic "LT",
+# :class:`~repro.monitor.codec.BinaryCodec`) have different headers but
+# the same body: the packed packet records, then the packed status
+# records.  ``what`` names the format in error messages.
+
+
+def check_record_counts(batch: RecordBatch, what: str) -> None:
+    """Raise :class:`EncodeError` when the header's counts cannot hold
+    ``batch``'s records (uint16 packets, uint8 status)."""
+    if len(batch.packet_records) > 0xFFFF or len(batch.status_records) > 0xFF:
+        raise EncodeError(f"too many records for a {what}")
+
+
+def pack_record_body(batch: RecordBatch) -> bytes:
+    """The packed records of ``batch``, packet records first."""
+    parts = [record.to_binary() for record in batch.packet_records]
+    parts.extend(record.to_binary() for record in batch.status_records)
+    return b"".join(parts)
+
+
+def unpack_record_body(
+    raw: bytes, offset: int, node: int, n_packets: int, n_status: int, what: str
+) -> Tuple[Tuple[PacketRecord, ...], Tuple[StatusRecord, ...]]:
+    """Parse the record body at ``raw[offset:]``, which must end ``raw``.
+
+    Raises:
+        DecodeError: on a truncated body or trailing bytes.
+    """
+    if len(raw) < offset + n_packets * PacketRecord.BINARY_SIZE:
+        raise DecodeError(f"{what} packet records truncated")
+    packets: List[PacketRecord] = []
+    for _ in range(n_packets):
+        packets.append(PacketRecord.from_binary_at(raw, offset, node))
+        offset += PacketRecord.BINARY_SIZE
+    status: List[StatusRecord] = []
+    for _ in range(n_status):
+        record, consumed = StatusRecord.from_binary(raw[offset:], node=node)
+        status.append(record)
+        offset += consumed
+    if offset != len(raw):
+        raise DecodeError(f"{len(raw) - offset} trailing bytes after {what}")
+    return tuple(packets), tuple(status)

@@ -32,9 +32,9 @@ from repro.monitor.alerts import AlertEngine
 from repro.monitor.fleet import TileAggregate
 from repro.monitor.ingest import DEFAULT_NETWORK_ID, SeqWindow
 from repro.monitor.rollup import IncrementalRollup
-from repro.monitor.storage import MetricsStore
+from repro.monitor.storage import MetricsStore, TelemetryStore
 
-StoreFactory = Callable[[str], MetricsStore]
+StoreFactory = Callable[[str], TelemetryStore]
 
 #: Bucket width of the per-shard traffic rollup feeding ``rollup-update``
 #: stream events (matches the dashboard history default).
@@ -54,7 +54,7 @@ class NetworkShard:
     :meth:`~repro.monitor.alerts.AlertEngine.observe`.
     """
 
-    def __init__(self, network_id: str, store: MetricsStore) -> None:
+    def __init__(self, network_id: str, store: TelemetryStore) -> None:
         self.network_id = network_id
         self.store = store
         #: Incremental fleet-tile aggregates (seeded when the store
@@ -171,7 +171,7 @@ class NetworkRegistry:
             self._shards[network_id] = shard
             return shard
 
-    def adopt(self, network_id: str, store: MetricsStore) -> NetworkShard:
+    def adopt(self, network_id: str, store: TelemetryStore) -> NetworkShard:
         """Register a shard around an externally constructed store.
 
         Used for the ``default`` network when a caller injects its own
@@ -199,12 +199,8 @@ class NetworkRegistry:
 
     @staticmethod
     def _close_shard(shard: NetworkShard) -> None:
-        flush = getattr(shard.store, "flush", None)
-        if flush is not None:
-            flush()
-        close = getattr(shard.store, "close", None)
-        if close is not None:
-            close()
+        shard.store.flush()
+        shard.store.close()
 
     def close(self) -> None:
         """Flush and close every shard's store (idempotent)."""

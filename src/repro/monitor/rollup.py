@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional, Set
 
 from repro.errors import ConfigurationError
 from repro.monitor.records import Direction
-from repro.monitor.storage import MetricsStore
+from repro.monitor.storage import TelemetryStore
 
 
 @dataclass
@@ -119,7 +119,7 @@ class IncrementalRollup(RollupSeries):
 
 
 def rollup_packet_rate(
-    store: MetricsStore,
+    store: TelemetryStore,
     interval_s: float = 300.0,
     node: Optional[int] = None,
     direction: Optional[Direction] = None,
@@ -133,7 +133,7 @@ def rollup_packet_rate(
 
 
 def rollup_status_field(
-    store: MetricsStore,
+    store: TelemetryStore,
     node: int,
     field: str,
     interval_s: float = 300.0,

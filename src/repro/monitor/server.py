@@ -5,8 +5,8 @@ out-of-band uplink, binary from the gateway bridge), validates them,
 deduplicates records on (network, node, record-kind, seq) — the client
 retries failed batches under new batch sequence numbers but stable
 record sequence numbers — and writes accepted records into the
-per-network :class:`~repro.monitor.storage.MetricsStore` (or the SQLite
-store) through the store's batched write API.
+per-network :class:`~repro.monitor.storage.TelemetryStore` (in memory
+or SQLite) through the store's batched write API.
 
 Multi-tenancy
 -------------
@@ -48,8 +48,9 @@ Observability ("monitor the monitor")
 
 :class:`ServerSelfMetrics` counts everything the ingestion pipeline
 does — batches/records ingested, dedup hits, decode failures, queue
-depth high-water mark, rejected/dropped batches, quota rejections,
-store flush count and latencies.  It is exposed as
+depth high-water mark, rejected/dropped batches, quota rejections — and
+:meth:`MonitorServer.self_metrics_document` adds the store flush count
+and latencies, read from the stores on each request.  It is exposed as
 ``GET /api/v1/server`` by :mod:`repro.monitor.httpapi` and rendered in
 the dashboard's ``[server]`` panel.
 """
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-import time
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Union
 
@@ -75,8 +75,7 @@ from repro.monitor.fleet import materialized_tile
 from repro.monitor.records import RecordBatch
 from repro.monitor.registry import NetworkRegistry, NetworkShard, StoreFactory
 from repro.monitor.rollup import bucket_document
-from repro.monitor.sqlitestore import FlushStats
-from repro.monitor.storage import MetricsStore
+from repro.monitor.storage import FlushStats, TelemetryStore
 from repro.monitor.stream.events import FLEET_TOPIC, network_topic
 from repro.monitor.stream.hub import StreamHub
 
@@ -91,7 +90,7 @@ class MonitorServer:
 
     def __init__(
         self,
-        store: Optional[MetricsStore] = None,
+        store: Optional[TelemetryStore] = None,
         clock: Optional[Callable[[], float]] = None,
         queue_capacity: Optional[int] = None,
         backpressure: Union[BackpressurePolicy, str] = BackpressurePolicy.REJECT,
@@ -119,7 +118,8 @@ class MonitorServer:
                 policy observable.
             retry_after_s: hint returned with REJECT refusals.
             store_factory: builds the store for each newly seen network
-                (default: an in-memory :class:`MetricsStore` per network).
+                (default: an in-memory
+                :class:`~repro.monitor.storage.MetricsStore` per network).
             max_networks: bound on resident network shards; the
                 least-recently-active idle shard is evicted beyond it.
             network_queue_quota: per-network bound on queued batches
@@ -157,8 +157,8 @@ class MonitorServer:
         if store is not None:
             self.registry.adopt(DEFAULT_NETWORK_ID, store)
         self._clock = clock or (lambda: 0.0)
-        # Reentrant: flush() -> _sync_flush_stats() both take it, and the
-        # admission helpers are callable with the lock already held.
+        # Reentrant: the admission helpers are callable with the lock
+        # already held.
         self._lock = threading.RLock()
         self.stats = ServerStats()  # guarded-by: _lock
         self.self_metrics = ServerSelfMetrics()  # guarded-by: _lock
@@ -192,7 +192,7 @@ class MonitorServer:
     # -- tenancy --------------------------------------------------------------
 
     @property
-    def store(self) -> MetricsStore:
+    def store(self) -> TelemetryStore:
         """The ``default`` network's store (the historical attribute)."""
         return self.registry.default.store
 
@@ -204,7 +204,7 @@ class MonitorServer:
         """The shard for ``network_id``, or None if never seen/evicted."""
         return self.registry.get(network_id)
 
-    def store_for(self, network_id: str) -> Optional[MetricsStore]:
+    def store_for(self, network_id: str) -> Optional[TelemetryStore]:
         """The metrics store for ``network_id``, or None if not resident."""
         shard = self.registry.get(network_id)
         return shard.store if shard is not None else None
@@ -280,41 +280,8 @@ class MonitorServer:
         return shard.queued_batches if shard is not None else 0
 
     def ingest_json(self, raw: bytes, network_id: Optional[str] = None) -> IngestResult:
-        """Ingest an out-of-band JSON batch.
-
-        Args:
-            raw: wire bytes.
-            network_id: when given (the network-scoped HTTP ingest
-                route), the batch must belong to this network: an
-                unstamped batch is stamped with it, a batch stamped with
-                a *different* network is refused.
-        """
-        with self._lock:
-            self.stats.bytes_received += len(raw)
-        try:
-            # Decode outside the lock: parsing is pure CPU work on
-            # thread-local bytes.
-            batch = RecordBatch.from_json_bytes(raw)
-        except DecodeError as exc:
-            with self._lock:
-                self.stats.batches_rejected += 1
-                self.self_metrics.decode_failures += 1
-            return IngestResult(ok=False, error=str(exc))
-        if network_id is not None:
-            if batch.network_id not in (DEFAULT_NETWORK_ID, network_id):
-                with self._lock:
-                    self.stats.batches_rejected += 1
-                    self.self_metrics.decode_failures += 1
-                return IngestResult(
-                    ok=False,
-                    error=(
-                        f"batch is stamped for network {batch.network_id!r} "
-                        f"but was posted to network {network_id!r}"
-                    ),
-                )
-            if batch.network_id != network_id:
-                batch = dataclasses.replace(batch, network_id=network_id)
-        return self.submit(batch)
+        """Ingest an out-of-band JSON batch (see :meth:`_decode_and_submit`)."""
+        return self._decode_and_submit(raw, RecordBatch.from_json_bytes, network_id)
 
     def ingest_binary(self, raw: bytes, network_id: Optional[str] = None) -> IngestResult:
         """Ingest an in-band binary batch (via the gateway bridge).
@@ -323,18 +290,7 @@ class MonitorServer:
         id; the bridge that decodes it knows which network its gateway
         belongs to and passes ``network_id`` here.
         """
-        with self._lock:
-            self.stats.bytes_received += len(raw)
-        try:
-            batch = RecordBatch.from_binary(raw)
-        except DecodeError as exc:
-            with self._lock:
-                self.stats.batches_rejected += 1
-                self.self_metrics.decode_failures += 1
-            return IngestResult(ok=False, error=str(exc))
-        if network_id is not None and batch.network_id != network_id:
-            batch = dataclasses.replace(batch, network_id=network_id)
-        return self.submit(batch)
+        return self._decode_and_submit(raw, RecordBatch.from_binary, network_id)
 
     def ingest_encoded(
         self,
@@ -342,42 +298,53 @@ class MonitorServer:
         codec: Union["Codec", str],
         network_id: Optional[str] = None,
     ) -> IngestResult:
-        """Ingest wire bytes in any registered codec.
-
-        The ``json`` codec delegates to :meth:`ingest_json`, so the
-        HTTP+JSON path runs the exact historical code.  Other
-        codecs share its stamping rules: an unstamped batch posted to a
-        network-scoped route is stamped with that network, a batch
-        stamped for a *different* network is refused.
-        """
+        """Ingest wire bytes in any registered codec."""
         from repro.monitor.codec import resolve_codec
 
-        resolved = resolve_codec(codec)
-        if resolved.name == "json":
-            return self.ingest_json(raw, network_id=network_id)
+        return self._decode_and_submit(raw, resolve_codec(codec).decode, network_id)
+
+    def _decode_and_submit(
+        self,
+        raw: bytes,
+        decode: Callable[[bytes], RecordBatch],
+        network_id: Optional[str],
+    ) -> IngestResult:
+        """Count, decode, stamp and submit one batch of wire bytes.
+
+        Args:
+            raw: wire bytes.
+            decode: the wire format's decoder; raises
+                :class:`~repro.errors.DecodeError` on malformed input.
+            network_id: when given (the network-scoped HTTP ingest
+                route, a gateway bridge), the batch must belong to this
+                network: an unstamped batch is stamped with it, a batch
+                stamped with a *different* network is refused.
+        """
         with self._lock:
             self.stats.bytes_received += len(raw)
+        error: Optional[str] = None
         try:
-            batch = resolved.decode(raw)
+            # Decode outside the lock: parsing is pure CPU work on
+            # thread-local bytes.
+            batch = decode(raw)
         except DecodeError as exc:
+            error = str(exc)
+        else:
+            if network_id is not None and batch.network_id not in (
+                DEFAULT_NETWORK_ID,
+                network_id,
+            ):
+                error = (
+                    f"batch is stamped for network {batch.network_id!r} "
+                    f"but was posted to network {network_id!r}"
+                )
+        if error is not None:
             with self._lock:
                 self.stats.batches_rejected += 1
                 self.self_metrics.decode_failures += 1
-            return IngestResult(ok=False, error=str(exc))
-        if network_id is not None:
-            if batch.network_id not in (DEFAULT_NETWORK_ID, network_id):
-                with self._lock:
-                    self.stats.batches_rejected += 1
-                    self.self_metrics.decode_failures += 1
-                return IngestResult(
-                    ok=False,
-                    error=(
-                        f"batch is stamped for network {batch.network_id!r} "
-                        f"but was posted to network {network_id!r}"
-                    ),
-                )
-            if batch.network_id != network_id:
-                batch = dataclasses.replace(batch, network_id=network_id)
+            return IngestResult(ok=False, error=error)
+        if network_id is not None and batch.network_id != network_id:
+            batch = dataclasses.replace(batch, network_id=network_id)
         return self.submit(batch)
 
     def ingest(self, batch: RecordBatch) -> IngestResult:
@@ -595,19 +562,9 @@ class MonitorServer:
                     duplicates += 1
             store = shard.store
             if accepted_packets:
-                add_packets = getattr(store, "add_packet_records", None)
-                if add_packets is not None:
-                    add_packets(accepted_packets)
-                else:  # stores predating the batch API
-                    for record in accepted_packets:
-                        store.add_packet_record(record)
+                store.add_packet_records(accepted_packets)
             if accepted_status:
-                add_status = getattr(store, "add_status_records", None)
-                if add_status is not None:
-                    add_status(accepted_status)
-                else:
-                    for record in accepted_status:
-                        store.add_status_record(record)
+                store.add_status_records(accepted_status)
             now = self._clock()
             store.note_batch(batch.node, now, batch.dropped_records)
             accepted = len(accepted_packets) + len(accepted_status)
@@ -678,21 +635,8 @@ class MonitorServer:
             )
         # The store flush can hit sqlite; keep it outside the critical
         # section (RL101) — stores serialise their own writes.
-        self._flush_store(store)
+        store.maybe_flush()
         return result
-
-    def _flush_store(self, store: MetricsStore) -> None:
-        """Let a durable store decide whether a flush is due."""
-        maybe_flush = getattr(store, "maybe_flush", None)
-        if maybe_flush is not None:
-            maybe_flush()
-            self._sync_flush_stats()
-            return
-        # Stores without batching semantics but with commit() (historical
-        # third-party drop-ins): flush once per batch as before.
-        commit = getattr(store, "commit", None)
-        if commit is not None:
-            commit()
 
     def _flush_totals(self) -> Optional[FlushStats]:
         """Every durable shard's flush counters in one, None if none is durable.
@@ -702,7 +646,7 @@ class MonitorServer:
         """
         totals: Optional[FlushStats] = None
         for shard in self.registry:
-            stats = getattr(shard.store, "flush_stats", None)
+            stats = shard.store.flush_stats
             if stats is None:
                 continue
             if totals is None:
@@ -714,36 +658,10 @@ class MonitorServer:
             totals.total_latency_s += stats.total_latency_s
         return totals
 
-    def _sync_flush_stats(self) -> None:
-        """Mirror the stores' flush counters into the self-metrics.
-
-        The stores are the source of truth: their size/age thresholds
-        can fire inside ``add_*_records`` calls, not only when the
-        server asks, so the self-metrics aggregate rather than
-        re-measure.
-        """
-        totals = self._flush_totals()
-        if totals is None:
-            return
-        with self._lock:
-            self.self_metrics.store_flushes = totals.flushes
-            self.self_metrics.flush_latency_last_s = totals.last_latency_s
-            self.self_metrics.flush_latency_max_s = totals.max_latency_s
-            self.self_metrics.flush_latency_total_s = totals.total_latency_s
-
     def flush(self) -> None:
         """Force any buffered store writes out (shutdown, test barriers)."""
         for shard in self.registry:
-            flush = getattr(shard.store, "flush", None)
-            if flush is None:
-                continue
-            started = time.perf_counter()
-            flushed = flush()
-            if getattr(shard.store, "flush_stats", None) is not None:
-                self._sync_flush_stats()
-            elif flushed:
-                with self._lock:
-                    self.self_metrics.note_flush(time.perf_counter() - started)
+            shard.store.flush()
 
     def close(self) -> None:
         """Orderly shutdown: drain queued batches, flush, close every shard.
@@ -778,6 +696,16 @@ class MonitorServer:
         """The ``GET /api/v1/server`` body: self-metrics + queue + wire stats."""
         with self._lock:
             document = self.self_metrics.to_json_dict()
+            store_stats = self._flush_totals()
+            flushed = store_stats if store_stats is not None else FlushStats()
+            document.update(
+                {
+                    "store_flushes": flushed.flushes,
+                    "flush_latency_last_ms": flushed.last_latency_s * 1000.0,
+                    "flush_latency_max_ms": flushed.max_latency_s * 1000.0,
+                    "flush_latency_total_ms": flushed.total_latency_s * 1000.0,
+                }
+            )
             transports = list(self._transports)
             alerts_emitted = 0
             alerts_history_len = 0
@@ -814,7 +742,6 @@ class MonitorServer:
         # stream document outside the server lock keeps the sanctioned
         # server -> hub order one-directional.
         document["stream"] = self.stream.stats_document()
-        store_stats = self._flush_totals()
         if store_stats is not None:
             document["store"] = {
                 "flushes": store_stats.flushes,

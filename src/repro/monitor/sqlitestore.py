@@ -1,9 +1,9 @@
 """SQLite-backed metrics store.
 
-A drop-in alternative to the in-memory :class:`~repro.monitor.storage.MetricsStore`
-for monitoring servers that must survive restarts or hold more telemetry
-than fits in RAM.  Implements the same query interface, so the metric
-aggregations, the dashboard and the HTTP API work unchanged on top of it.
+The durable :class:`~repro.monitor.storage.TelemetryStore` backend, for
+monitoring servers that must survive restarts or hold more telemetry
+than fits in RAM.  The protocol states the read contract it shares with
+the in-memory :class:`~repro.monitor.storage.MetricsStore`.
 
 Uses only the standard library ``sqlite3`` module.  Pass ``":memory:"``
 (the default) for an ephemeral database or a file path for persistence.
@@ -23,8 +23,8 @@ stores run in WAL mode with ``synchronous=NORMAL`` so a flush is one
 cheap WAL append instead of two fsyncs.  ``flush()`` forces the buffer
 out; ``close()`` flushes and then closes the connection.  Pass
 ``batch_writes=False`` to get the historical row-at-a-time behaviour
-(one ``execute`` per record, commit on :meth:`commit`) — kept as the
-benchmark baseline.
+(one ``execute`` per record, one commit per ingested batch) — kept as
+the benchmark baseline.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ import json
 import os
 import sqlite3
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import StorageError
 from repro.monitor.records import (
@@ -43,6 +42,7 @@ from repro.monitor.records import (
     PacketRecord,
     StatusRecord,
 )
+from repro.monitor.storage import FlushStats, TelemetryStore
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS packet_records (
@@ -104,24 +104,6 @@ _STATUS_INSERT = (
 )
 
 
-@dataclass
-class FlushStats:
-    """Counters for the buffered write path ("monitor the monitor")."""
-
-    flushes: int = 0
-    records_flushed: int = 0
-    last_latency_s: float = 0.0
-    max_latency_s: float = 0.0
-    total_latency_s: float = 0.0
-
-    def note(self, records: int, latency_s: float) -> None:
-        self.flushes += 1
-        self.records_flushed += records
-        self.last_latency_s = latency_s
-        self.max_latency_s = max(self.max_latency_s, latency_s)
-        self.total_latency_s += latency_s
-
-
 def _packet_row(record: PacketRecord) -> Tuple:
     return (
         record.node, record.seq, record.timestamp, record.direction.value,
@@ -143,10 +125,9 @@ def _status_row(record: StatusRecord) -> Tuple:
     )
 
 
-class SqliteMetricsStore:
+class SqliteMetricsStore(TelemetryStore):
     """Metrics store persisted in SQLite.
 
-    API-compatible with :class:`~repro.monitor.storage.MetricsStore`.
     Unlike the in-memory store there is no retention bound; ``evictions``
     is always 0.
 
@@ -199,7 +180,7 @@ class SqliteMetricsStore:
         self._status_buffer: List[Tuple] = []
         self._oldest_pending_at: Optional[float] = None
         self._closed = False
-        self.flush_stats = FlushStats()
+        self.flush_stats: FlushStats = FlushStats()
 
     @property
     def closed(self) -> bool:
@@ -217,12 +198,6 @@ class SqliteMetricsStore:
         self.flush()
         self._conn.close()
         self._closed = True
-
-    def __enter__(self) -> "SqliteMetricsStore":
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        self.close()
 
     # -- writes ---------------------------------------------------------------
 
@@ -333,10 +308,6 @@ class SqliteMetricsStore:
         self._oldest_pending_at = None
         self.flush_stats.note(pending, time.perf_counter() - started)
         return True
-
-    def commit(self) -> None:
-        """Flush buffered writes and commit (back-compat alias)."""
-        self.flush()
 
     def journal_mode(self) -> str:
         """The active SQLite journal mode (``wal`` for tuned file stores)."""
@@ -450,23 +421,6 @@ class SqliteMetricsStore:
         ).fetchone()
         return self._status_from_row(row) if row else None
 
-    def status_series(
-        self,
-        node: int,
-        fields: List[str],
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-    ) -> List[Dict[str, float]]:
-        series = []
-        for record in self.status_records(node, since=since, until=until):
-            point: Dict[str, float] = {"ts": record.timestamp}
-            for name in fields:
-                if not hasattr(record, name):
-                    raise StorageError(f"unknown status field {name!r}")
-                point[name] = float(getattr(record, name))
-            series.append(point)
-        return series
-
     def last_seen(self, node: int) -> Optional[float]:
         row = self._conn.execute(
             "SELECT last_seen FROM batches WHERE node = ?", (node,)
@@ -503,7 +457,7 @@ class SqliteMetricsStore:
     def evictions(self) -> int:
         return 0
 
-    def time_bounds(self) -> Optional[tuple]:
+    def time_bounds(self) -> Optional[Tuple[float, float]]:
         self._read_ready()
         row = self._conn.execute(
             "SELECT MIN(ts), MAX(ts) FROM packet_records"

@@ -23,12 +23,12 @@ import urllib.error
 import urllib.request
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Protocol, Union
 
 from repro.errors import ConfigurationError
 from repro.mesh.node import DeliveredMessage, MeshNode
 from repro.mesh.packet import PacketType
-from repro.monitor.codec import Codec, resolve_codec
+from repro.monitor.codec import Codec, JsonCodec, resolve_codec
 from repro.monitor.ingest import DEFAULT_NETWORK_ID, IngestResult, validate_network_id
 from repro.monitor.records import RecordBatch
 from repro.sim.engine import Simulator
@@ -37,6 +37,20 @@ if TYPE_CHECKING:  # import only for annotations; avoids a mesh<->monitor import
     from repro.mesh.endtoend import ReliableMessenger
 
 ResultCallback = Callable[[bool], None]
+
+
+class SupportsIngestJson(Protocol):
+    """Where an :class:`OutOfBandUplink` POSTs: a
+    :class:`~repro.monitor.server.MonitorServer`, an
+    :class:`HttpIngestClient`, or anything else with this method."""
+
+    def ingest_json(self, raw: bytes) -> IngestResult: ...
+
+
+class SupportsIngestBinary(Protocol):
+    """Where a :class:`GatewayBridge` hands in-band batches."""
+
+    def ingest_binary(self, raw: bytes, network_id: Optional[str] = None) -> IngestResult: ...
 
 
 @dataclass
@@ -67,23 +81,25 @@ class Uplink(ABC):
 
 
 class OutOfBandUplink(Uplink):
-    """Simulated WiFi/HTTP POST to the monitoring server.
+    """Simulated WiFi/HTTP POST of JSON batches to the monitoring server.
 
     The server object is called directly (``ingest_json``); loss and
     latency are simulated in front of it.  A lost request surfaces to the
     client as a failed result after ``timeout_s``.
     """
 
+    #: The paper's out-of-band wire format.
+    _codec = JsonCodec()
+
     def __init__(
         self,
         sim: Simulator,
-        server: "SupportsIngestJson",
+        server: SupportsIngestJson,
         rng: random.Random,
         loss_probability: float = 0.0,
         latency_mean_s: float = 0.08,
         latency_jitter_s: float = 0.04,
         timeout_s: float = 10.0,
-        codec: Union[str, Codec] = "json",
     ) -> None:
         super().__init__()
         if not (0.0 <= loss_probability <= 1.0):
@@ -97,10 +113,6 @@ class OutOfBandUplink(Uplink):
         self._latency_mean = latency_mean_s
         self._jitter = latency_jitter_s
         self._timeout = timeout_s
-        #: Wire encoding of the POSTed batches.  ``json`` keeps the
-        #: paper's path; ``binary`` models a firmware that speaks the
-        #: compact telemetry format over HTTP (the T1/T3 size ablation).
-        self._codec = resolve_codec(codec)
 
     def _latency(self) -> float:
         return max(self._latency_mean + self._rng.uniform(-self._jitter, self._jitter), 1e-4)
@@ -116,20 +128,10 @@ class OutOfBandUplink(Uplink):
             return len(raw)
 
         def deliver() -> None:
-            if self._codec.name == "json":
-                result = self._server.ingest_json(raw)
-            else:
-                # Non-JSON codecs need the negotiating server surface.
-                ingest_encoded = getattr(self._server, "ingest_encoded", None)
-                if ingest_encoded is None:
-                    raise ConfigurationError(
-                        f"server {self._server!r} cannot ingest codec "
-                        f"{self._codec.name!r} (no ingest_encoded)"
-                    )
-                result = ingest_encoded(raw, self._codec)
+            result = self._server.ingest_json(raw)
             self.stats.batches_delivered += 1
-            ok = bool(getattr(result, "ok", True))
-            retry_after = getattr(result, "retry_after_s", None)
+            ok = result.ok
+            retry_after = result.retry_after_s
             if not ok and retry_after is not None:
                 # Server backpressure: the batch was refused before any
                 # record was stored.  Honour the retry-after hint — the
@@ -232,7 +234,7 @@ class GatewayBridge:
     def __init__(
         self,
         gateway: MeshNode,
-        server: "SupportsIngestBinary",
+        server: SupportsIngestBinary,
         network_id: str = DEFAULT_NETWORK_ID,
     ) -> None:
         try:
@@ -252,11 +254,8 @@ class GatewayBridge:
     def _delivered(self, message: DeliveredMessage) -> None:
         if message.ptype != PacketType.TELEMETRY:
             return
-        if self.network_id != DEFAULT_NETWORK_ID:
-            result = self._server.ingest_binary(message.payload, network_id=self.network_id)
-        else:
-            result = self._server.ingest_binary(message.payload)
-        if getattr(result, "ok", True):
+        result = self._server.ingest_binary(message.payload, network_id=self.network_id)
+        if result.ok:
             self.batches_bridged += 1
         else:
             self.batches_rejected += 1
@@ -380,17 +379,3 @@ class UdpIngestClient:
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         self.close()
-
-
-class SupportsIngestJson:  # pragma: no cover - typing helper
-    """Structural interface: anything with ``ingest_json(bytes)``."""
-
-    def ingest_json(self, raw: bytes) -> object:
-        raise NotImplementedError
-
-
-class SupportsIngestBinary:  # pragma: no cover - typing helper
-    """Structural interface: anything with ``ingest_binary(bytes)``."""
-
-    def ingest_binary(self, raw: bytes, network_id: Optional[str] = None) -> object:
-        raise NotImplementedError

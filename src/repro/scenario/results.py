@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.mesh.addressing import BROADCAST
 from repro.sim.trace import TraceEvent, TraceLog
+
+if TYPE_CHECKING:
+    from repro.monitor.server import MonitorServer
+    from repro.monitor.storage import TelemetryStore
 
 
 @dataclass
@@ -169,8 +173,8 @@ class ScenarioResult:
     workloads: list
     clients: Dict[int, object]
     uplinks: Dict[int, object]
-    server: Optional[object]
-    store: Optional[object]
+    server: Optional["MonitorServer"]
+    store: Optional["TelemetryStore"]
     bridge: Optional[object]
     truth: GroundTruth
     mobility: Optional[object] = None
@@ -191,10 +195,10 @@ class ScenarioResult:
         Call when done with the result — or use the result as a context
         manager — so buffered SQLite-backed telemetry is never dropped.
         """
-        target = self.server if self.server is not None else self.store
-        close = getattr(target, "close", None)
-        if close is not None:
-            close()
+        if self.server is not None:
+            self.server.close()
+        elif self.store is not None:
+            self.store.close()
 
     def __enter__(self) -> "ScenarioResult":
         return self

@@ -19,12 +19,13 @@ from repro.mesh.node import MeshNode
 from repro.mesh.packet import PacketType
 from repro.monitor.client import MonitorClient, MonitorClientConfig
 from repro.monitor.server import MonitorServer
-from repro.monitor.storage import MetricsStore
+from repro.monitor.storage import MetricsStore, TelemetryStore
 from repro.monitor.uplink import (
     GatewayBridge,
     InBandUplink,
     OutOfBandUplink,
     ReliableInBandUplink,
+    SupportsIngestJson,
     Uplink,
 )
 from repro.obs.recorder import FlightRecorder
@@ -89,7 +90,8 @@ class Scenario:
             :meth:`close` leaves it (and its stores) running for the
             other scenarios; whoever created it closes it.
         ingest_target: optional override for where out-of-band uplinks
-            POST batches — anything with ``ingest_json(bytes)``, e.g. an
+            POST batches — any
+            :class:`~repro.monitor.uplink.SupportsIngestJson`, e.g. an
             :class:`~repro.monitor.uplink.HttpIngestClient` so telemetry
             crosses a real ``/api/v1`` HTTP boundary instead of calling
             the server object directly.  Defaults to the server.
@@ -99,7 +101,7 @@ class Scenario:
         self,
         config: ScenarioConfig,
         server: Optional[MonitorServer] = None,
-        ingest_target: Optional[object] = None,
+        ingest_target: Optional[SupportsIngestJson] = None,
     ) -> None:
         self.config = config
         self._shared_server = server
@@ -152,7 +154,7 @@ class Scenario:
             )
             for address in self.topology.nodes()
         }
-        self.store: Optional[MetricsStore] = None
+        self.store: Optional[TelemetryStore] = None
         self.server: Optional[MonitorServer] = None
         self.bridge: Optional[GatewayBridge] = None
         self.clients: Dict[int, MonitorClient] = {}
@@ -190,7 +192,9 @@ class Scenario:
             packet_sample_rate=config.packet_sample_rate,
             network_id=config.network_id,
         )
-        ingest_target = self._ingest_target if self._ingest_target is not None else self.server
+        ingest_target: SupportsIngestJson = (
+            self._ingest_target if self._ingest_target is not None else self.server
+        )
         if config.monitor_mode is MonitorMode.OUT_OF_BAND:
             for address, node in self.nodes.items():
                 uplink = OutOfBandUplink(
@@ -375,7 +379,7 @@ class Scenario:
 def run_scenario(
     config: ScenarioConfig,
     server: Optional[MonitorServer] = None,
-    ingest_target: Optional[object] = None,
+    ingest_target: Optional[SupportsIngestJson] = None,
 ) -> ScenarioResult:
     """Build and run one scenario (see :class:`Scenario` for the knobs)."""
     return Scenario(config, server=server, ingest_target=ingest_target).run()

@@ -6,15 +6,19 @@ Over any ingest stream — duplicate-seq retries, repeated origin
 reports, status updates, silences across one and five report intervals
 — and reads at two alternating intervals, the result must be the very
 float the uncached O(N) expression gives over the same per-node state,
-and match the store-scanning score up to summation order.
+and match the store-scanning score up to summation order.  Status
+records that arrive out of order leave the tile on the highest ``seq``,
+on both store backends.
 """
 
+import dataclasses
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import MonitorServer, RecordBatch
+from repro.api import MetricsStore, MonitorServer, RecordBatch, SqliteMetricsStore
 from repro.mesh.addressing import BROADCAST
 from repro.monitor import health, metrics
 from repro.monitor.fleet import TileAggregate
@@ -173,3 +177,54 @@ class TestIncrementalTileEqualsFormula:
                     )
         finally:
             server.close()
+
+
+#: One status report per step: (node, battery, duty, queue depth).
+status_reports = st.lists(
+    st.tuples(
+        nodes,
+        st.floats(min_value=2.8, max_value=4.4),
+        st.floats(min_value=0.0, max_value=1.2),
+        st.integers(min_value=0, max_value=20),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+class TestShuffledStatusArrival:
+    """In-band batches overtake each other on the way to the gateway, so
+    a node's status records can arrive in any order; the tile must keep
+    the highest ``seq``, as the store's ``latest_status`` does."""
+
+    @pytest.mark.parametrize("backend", [MetricsStore, SqliteMetricsStore])
+    @given(reports=status_reports, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tile_snapshot_is_latest_status(self, backend, reports, data):
+        batches = []
+        seqs = {}
+        for node, battery_v, duty, queue_depth in reports:
+            seq = seqs.get(node, 0)
+            seqs[node] = seq + 1
+            record = status_record(node, seq, 60.0 * seq, (battery_v, duty))
+            record = dataclasses.replace(record, queue_depth=queue_depth)
+            batches.append(RecordBatch(
+                node=node, batch_seq=seq, sent_at=60.0 * seq, status_records=(record,),
+            ))
+        arrivals = data.draw(st.permutations(batches))
+        clock = {"now": 0.0}
+        with MonitorServer(store=backend(), clock=lambda: clock["now"]) as server:
+            for batch in arrivals:
+                clock["now"] += 1.0
+                assert server.ingest(batch).ok
+            tile = server.shard_for("default").tile
+            for node in seqs:
+                latest = server.store.latest_status(node)
+                assert latest.seq == seqs[node] - 1
+                delta = tile.node_delta(node)
+                assert (delta.battery_v, delta.duty_utilisation, delta.queue_depth) == (
+                    latest.battery_v, latest.duty_utilisation, latest.queue_depth,
+                )
+            for lag in LAGS:
+                for interval in INTERVALS:
+                    check_tile(tile, server.store, clock["now"] + lag, interval)

@@ -107,7 +107,7 @@ class TestPersistence:
         store = SqliteMetricsStore(path)
         store.add_packet_record(packet_record())
         store.add_status_record(status_record())
-        store.commit()
+        store.flush()
         store.close()
 
         reopened = SqliteMetricsStore(path)
@@ -235,11 +235,11 @@ class TestBatchedWrites:
                         packet_records=(packet_record(seq=batch_seq),),
                         network_id=network_id,
                     )).ok
-            document = server.self_metrics_document()["store"]
+            document = server.self_metrics_document()
             stats = [server.store_for(n).flush_stats for n in ("default", "site-b")]
-            assert document["flushes"] == sum(s.flushes for s in stats) >= 4
-            assert document["records_flushed"] == 4
-            assert document["flushes"] == server.self_metrics.store_flushes
+            assert document["store"]["flushes"] == sum(s.flushes for s in stats) >= 4
+            assert document["store"]["records_flushed"] == 4
+            assert document["store"]["flushes"] == document["store_flushes"]
         finally:
             server.close()
 
