@@ -1,26 +1,49 @@
-"""Alerting over the metrics store.
+"""Alerting: rules over node snapshots and windowed deliveries.
 
-Rules inspect the store and report *conditions*; the engine turns
-conditions into stateful alerts (raised once, cleared when the condition
-disappears, kept in history) — what a network administrator watching the
-paper's dashboard would act on.
+Rules report *conditions*; the engine turns conditions into stateful
+alerts (raised once, cleared when the condition disappears, kept in
+history) — what a network administrator watching the paper's dashboard
+would act on.
 
-An engine watches one store; a multi-tenant server gives each network
-its own store (and the HTTP layer its own engine), so alert state never
-crosses tenants — node 7 going silent on campus A raises nothing for
-node 7 on campus B.
+A rule judges :class:`AlertInputs`: one :class:`NodeDelta` per known
+node, and a ``{(src, dst): (sent, delivered)}`` delivery table over a
+time window.  Where those come from depends on the engine:
+
+* a store-only engine (the standalone
+  :class:`~repro.monitor.dashboard.Dashboard`, the HTTP per-network
+  dashboards, library callers) reads them from its store through
+  :class:`StoreInputs` — ``latest_status``/``last_seen`` per node and
+  the batch :func:`~repro.monitor.metrics.pdr_matrix` (the oracle);
+* a server shard's engine reads them from the shard's
+  :class:`~repro.monitor.fleet.TileAggregate`: node snapshots kept at
+  ingest and its windowed delivery ledger, so the server's periodic
+  sweep reads no store at all.
+
+Both give the same conditions for the same telemetry, so raise order,
+messages and ``raised_at`` do not depend on the engine.
+
+An engine watches one network; a multi-tenant server gives each
+network its own shard (and the HTTP layer its own engine), so alert
+state never crosses tenants — node 7 going silent on campus A raises
+nothing for node 7 on campus B.
 """
 
 from __future__ import annotations
 
-import math
-from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Protocol, Tuple
 
 from repro.monitor import metrics
 from repro.monitor.storage import TelemetryStore
+
+#: ``{(src, dst): (sent, delivered)}`` unique unicast DATA packet ids
+#: over a window, counted the way :func:`~repro.monitor.metrics.pdr_matrix`
+#: counts them.
+PairTable = Dict[Tuple[int, int], Tuple[int, int]]
+
+#: One firing condition: the node it concerns (None for none) and the message.
+Condition = Tuple[Optional[int], str]
 
 
 @dataclass(frozen=True)
@@ -46,12 +69,13 @@ class Alert:
 
 @dataclass(frozen=True)
 class NodeDelta:
-    """Latest in-memory state of one node, for the O(delta) alert path.
+    """Latest in-memory state of one node, as the rules judge it.
 
-    Built by the ingest pipeline from the aggregates it already
-    maintains (no store reads); fields the server does not know yet are
-    None, and rules that need a None field answer "cannot judge" rather
-    than clearing.
+    The ingest pipeline builds one from the aggregates it already
+    maintains (no store reads) for the O(delta) path; a store-only
+    sweep builds one from the store.  Fields the server does not know
+    yet are None, and rules that need a None field answer "cannot
+    judge" rather than clearing.
     """
 
     node: int
@@ -61,18 +85,91 @@ class NodeDelta:
     queue_depth: Optional[int] = None
 
 
-class AlertRule(ABC):
-    """A condition evaluated against the store."""
+class AlertInputs(Protocol):
+    """What a full sweep judges, whichever state it is read from."""
+
+    def node_deltas(self) -> List[NodeDelta]:
+        """One snapshot per known node, sorted by node address."""
+        ...
+
+    def pair_deliveries(self, since: float, until: float) -> PairTable:
+        """Unicast delivery per pair over ``[since, until]`` (inclusive).
+
+        Equal to ``metrics.pdr_matrix(store, since=since, until=until)``
+        as ``(sent, delivered)`` pairs: distinct packet ids, a pair
+        present when any of its records falls in the window.
+        """
+        ...
+
+    def forget_before(self, horizon: float) -> None:
+        """The latest sweep asked for no window starting before ``horizon``.
+
+        Sweeps run at non-decreasing times, so state older than
+        ``horizon`` may be dropped; state that never drops anything
+        ignores the call.
+        """
+
+
+class StoreInputs(AlertInputs):
+    """Sweep inputs read from a store (what a store-only engine judges)."""
+
+    def __init__(self, store: TelemetryStore) -> None:
+        self.store = store
+
+    def node_deltas(self) -> List[NodeDelta]:
+        store = self.store
+        deltas = []
+        for node in store.nodes():
+            last_seen = store.last_seen(node)
+            status = store.latest_status(node)
+            if status is None:
+                deltas.append(NodeDelta(node=node, last_seen=last_seen))
+            else:
+                deltas.append(NodeDelta(
+                    node=node,
+                    last_seen=last_seen,
+                    battery_v=status.battery_v,
+                    duty_utilisation=status.duty_utilisation,
+                    queue_depth=status.queue_depth,
+                ))
+        return deltas
+
+    def pair_deliveries(self, since: float, until: float) -> PairTable:
+        pairs = metrics.pdr_matrix(self.store, since=since, until=until)
+        return {key: (pair.sent, pair.delivered) for key, pair in pairs.items()}
+
+
+class AlertRule:
+    """A condition judged over :class:`AlertInputs`.
+
+    A per-node rule implements only :meth:`node_conditions`: the
+    O(delta) path calls it for the nodes a batch touched, and the sweep
+    calls it for every node.  A rule over other inputs overrides
+    :meth:`judge`.
+    """
 
     #: Stable rule identifier used for alert state keys.
     name: str = "rule"
     severity: str = "warning"
 
-    @abstractmethod
-    def conditions(self, store: TelemetryStore, now: float) -> List[Tuple[Optional[int], str]]:
-        """Return (node, message) for every currently firing condition."""
+    def judge(self, inputs: AlertInputs, now: float) -> List[Condition]:
+        """(node, message) for every currently firing condition.
 
-    def node_conditions(self, delta: "NodeDelta", now: float) -> Optional[List[str]]:
+        The base judges each node's snapshot; a node the rule cannot
+        judge (:meth:`node_conditions` returns None) is not firing.
+        """
+        firing: List[Condition] = []
+        for delta in inputs.node_deltas():
+            messages = self.node_conditions(delta, now)
+            if messages:
+                firing.append((delta.node, messages[0]))
+        return firing
+
+    def conditions(self, store: TelemetryStore, now: float) -> List[Condition]:
+        """:meth:`judge` over what ``store`` holds."""
+        return self.judge(StoreInputs(store), now)
+
+    def node_conditions(self, delta: NodeDelta, now: float) -> Optional[List[str]]:
         """Firing messages for one node's delta, or None if not judgeable.
 
         The O(delta) path: when a batch arrives the engine re-evaluates
@@ -98,21 +195,10 @@ class SilentNodeRule(AlertRule):
     def __init__(self, max_silence_s: float) -> None:
         self.max_silence_s = max_silence_s
 
-    def conditions(self, store: TelemetryStore, now: float) -> List[Tuple[Optional[int], str]]:
-        firing = []
-        for node in store.nodes():
-            last = store.last_seen(node)
-            if last is None:
-                continue
-            silence = now - last
-            if silence > self.max_silence_s:
-                firing.append((node, f"no telemetry for {silence:.0f}s"))
-        return firing
-
-    def node_conditions(self, delta: "NodeDelta", now: float) -> Optional[List[str]]:
-        # A delta can only *clear* silence (the node just reported);
-        # raising still needs the periodic sweep — absence of telemetry
-        # produces no delta to observe.
+    def node_conditions(self, delta: NodeDelta, now: float) -> Optional[List[str]]:
+        # On the O(delta) path a delta can only *clear* silence (the
+        # node just reported); raising needs the periodic sweep —
+        # absence of telemetry produces no delta to observe.
         if delta.last_seen is None:
             return None
         silence = now - delta.last_seen
@@ -132,16 +218,15 @@ class LowPdrRule(AlertRule):
         self.window_s = window_s
         self.min_sent = min_sent
 
-    def conditions(self, store: TelemetryStore, now: float) -> List[Tuple[Optional[int], str]]:
-        firing = []
-        pairs = metrics.pdr_matrix(store, since=now - self.window_s, until=now)
-        for (src, dst), pair in sorted(pairs.items()):
-            if pair.sent < self.min_sent:
+    def judge(self, inputs: AlertInputs, now: float) -> List[Condition]:
+        firing: List[Condition] = []
+        pairs = inputs.pair_deliveries(now - self.window_s, now)
+        for (src, dst), (sent, delivered) in sorted(pairs.items()):
+            if sent < self.min_sent or not sent:
                 continue
-            if not math.isnan(pair.pdr) and pair.pdr < self.threshold:
-                firing.append(
-                    (src, f"PDR {pair.pdr:.0%} to node {dst} ({pair.delivered}/{pair.sent})")
-                )
+            pdr = delivered / sent
+            if pdr < self.threshold:
+                firing.append((src, f"PDR {pdr:.0%} to node {dst} ({delivered}/{sent})"))
         return firing
 
 
@@ -154,17 +239,7 @@ class DutyCycleRule(AlertRule):
     def __init__(self, threshold: float = 0.8) -> None:
         self.threshold = threshold
 
-    def conditions(self, store: TelemetryStore, now: float) -> List[Tuple[Optional[int], str]]:
-        firing = []
-        for node in store.nodes():
-            status = store.latest_status(node)
-            if status is not None and status.duty_utilisation >= self.threshold:
-                firing.append(
-                    (node, f"duty-cycle utilisation {status.duty_utilisation:.0%} of budget")
-                )
-        return firing
-
-    def node_conditions(self, delta: "NodeDelta", now: float) -> Optional[List[str]]:
+    def node_conditions(self, delta: NodeDelta, now: float) -> Optional[List[str]]:
         if delta.duty_utilisation is None:
             return None  # no status seen yet; cannot judge
         if delta.duty_utilisation >= self.threshold:
@@ -181,15 +256,7 @@ class BatteryLowRule(AlertRule):
     def __init__(self, threshold_v: float = 3.4) -> None:
         self.threshold_v = threshold_v
 
-    def conditions(self, store: TelemetryStore, now: float) -> List[Tuple[Optional[int], str]]:
-        firing = []
-        for node in store.nodes():
-            status = store.latest_status(node)
-            if status is not None and status.battery_v < self.threshold_v:
-                firing.append((node, f"battery at {status.battery_v:.2f} V"))
-        return firing
-
-    def node_conditions(self, delta: "NodeDelta", now: float) -> Optional[List[str]]:
+    def node_conditions(self, delta: NodeDelta, now: float) -> Optional[List[str]]:
         if delta.battery_v is None:
             return None  # no status seen yet; cannot judge
         if delta.battery_v < self.threshold_v:
@@ -206,15 +273,7 @@ class QueueBacklogRule(AlertRule):
     def __init__(self, threshold: int = 10) -> None:
         self.threshold = threshold
 
-    def conditions(self, store: TelemetryStore, now: float) -> List[Tuple[Optional[int], str]]:
-        firing = []
-        for node in store.nodes():
-            status = store.latest_status(node)
-            if status is not None and status.queue_depth >= self.threshold:
-                firing.append((node, f"MAC queue depth {status.queue_depth}"))
-        return firing
-
-    def node_conditions(self, delta: "NodeDelta", now: float) -> Optional[List[str]]:
+    def node_conditions(self, delta: NodeDelta, now: float) -> Optional[List[str]]:
         if delta.queue_depth is None:
             return None  # no status seen yet; cannot judge
         if delta.queue_depth >= self.threshold:
@@ -240,15 +299,47 @@ def default_rules(report_interval_s: float = 60.0) -> List[AlertRule]:
 DEFAULT_HISTORY_LIMIT = 256
 
 
+class _Sweep(AlertInputs):
+    """One sweep's view of an engine's inputs.
+
+    Node snapshots are read once for every rule, and the earliest
+    window start any rule asked for becomes the sweep's ``horizon``.
+    """
+
+    def __init__(self, inputs: AlertInputs) -> None:
+        self._inputs = inputs
+        self._deltas: Optional[List[NodeDelta]] = None
+        self.horizon: Optional[float] = None
+
+    def node_deltas(self) -> List[NodeDelta]:
+        if self._deltas is None:
+            self._deltas = self._inputs.node_deltas()
+        return self._deltas
+
+    def pair_deliveries(self, since: float, until: float) -> PairTable:
+        if self.horizon is None or since < self.horizon:
+            self.horizon = since
+        return self._inputs.pair_deliveries(since, until)
+
+
 class AlertEngine:
     """Stateful alert evaluation.
 
     Two entry points share the same alert state:
 
-    * :meth:`evaluate` — the periodic full sweep over every rule.
+    * :meth:`evaluate` — the periodic full sweep over every rule, judged
+      from :attr:`inputs`.
     * :meth:`observe` — the O(delta) path the ingest pipeline calls
       with just the nodes a batch touched; only rules that implement
       :meth:`AlertRule.node_conditions` participate.
+
+    :attr:`inputs` reads the engine's store (:class:`StoreInputs`), so
+    a store-only engine's sweep costs one ``nodes()``, one
+    ``last_seen`` and one ``latest_status`` per node, and one
+    ``pdr_matrix`` scan per windowed rule.  A server shard points it at
+    the shard's :class:`~repro.monitor.fleet.TileAggregate` instead, so
+    its sweep reads no store: O(nodes) snapshots plus one pass over the
+    delivery ledger, which holds only the window's unicast DATA ids.
 
     History is a bounded ring (``deque(maxlen=...)``) so a long-running
     server's memory does not grow with alert churn; the cumulative
@@ -263,6 +354,9 @@ class AlertEngine:
         history_limit: int = DEFAULT_HISTORY_LIMIT,
     ) -> None:
         self.store = store
+        #: What :meth:`evaluate` judges; a server shard replaces it with
+        #: its in-memory aggregates.
+        self.inputs: AlertInputs = StoreInputs(store)
         self.rules = rules if rules is not None else default_rules()
         self._active: Dict[Tuple[str, Optional[int]], Alert] = {}
         self.history: Deque[Alert] = deque(maxlen=history_limit)
@@ -304,12 +398,15 @@ class AlertEngine:
         """Re-evaluate all rules; returns newly *raised* alerts.
 
         Conditions that persist stay active without re-raising; conditions
-        that disappeared are cleared.
+        that disappeared are cleared.  Afterwards :attr:`inputs` may
+        forget what lies before the widest window this sweep asked for
+        (see :meth:`AlertInputs.forget_before`).
         """
+        sweep = _Sweep(self.inputs)
         raised: List[Alert] = []
         firing_keys = set()
         for rule in self.rules:
-            for node, message in rule.conditions(self.store, now):
+            for node, message in rule.judge(sweep, now):
                 key = (rule.name, node)
                 firing_keys.add(key)
                 if key in self._active:
@@ -318,6 +415,8 @@ class AlertEngine:
         for key in list(self._active):
             if key not in firing_keys:
                 self._clear(key)
+        if sweep.horizon is not None:
+            self.inputs.forget_before(sweep.horizon)
         return raised
 
     def evaluate_changes(self, now: float) -> Tuple[List[Alert], List[Alert]]:

@@ -24,12 +24,32 @@ tiles into the overview document and caches it on the server keyed by
 ingest progress, so steady-state reads are O(1) snapshot hits no matter
 how many networks are resident.
 
-Two documented deviations from the scan-based tiles: delivery counters
-are cumulative since shard creation rather than windowed, and a cached
-overview reflects the state as of the last ingest delta *or* the last
-elapsed ``report_interval_s`` time bucket, whichever is newer — so
-liveness-driven health keeps decaying while a fleet is silent instead
-of freezing at its last healthy snapshot.
+Two documented deviations from the scan-based tiles: the tile's
+:meth:`TileAggregate.pdr` and :meth:`TileAggregate.health` delivery
+counters are cumulative since shard creation rather than windowed, and
+a cached overview reflects the state as of the last ingest delta *or*
+the last elapsed ``report_interval_s`` time bucket, whichever is newer
+— so liveness-driven health keeps decaying while a fleet is silent
+instead of freezing at its last healthy snapshot.
+
+Windowed delivery
+-----------------
+
+The shard's alert sweep needs delivery over a trailing window, not
+since creation.  :class:`DeliveryLedger` keeps exactly the records
+``pdr_matrix`` could count — unicast DATA first-attempt OUTs at the
+origin and INs at the destination, as (timestamp, packet id) — so a
+windowed query equals ``pdr_matrix`` over the same ``[since, until]``,
+and the sweep reads no store.  Sweeps run on the server clock, which
+only moves forward, so after each sweep the ledger forgets what lies
+before that sweep's widest window start: its memory is one window of
+this traffic, not history.  Two consequences, both outside the server's
+own sweep cadence: a direct ``MonitorServer.sweep_alerts(now)`` whose
+window reaches back past that horizon counts only what the ledger still
+holds (fewer sent/delivered than the store would), and records the
+in-memory store's per-node retention bound discarded inside a window
+are still counted by the ledger while ``pdr_matrix`` no longer sees
+them.
 
 The aggregates are mutated by the ingest path under the server lock;
 HTTP handler threads therefore read them through
@@ -48,7 +68,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from repro.mesh.addressing import BROADCAST
 from repro.mesh.packet import PacketType
 from repro.monitor import health as health_mod
-from repro.monitor.alerts import NodeDelta
+from repro.monitor.alerts import AlertInputs, NodeDelta, PairTable
 from repro.monitor.records import Direction, PacketRecord, StatusRecord
 from repro.monitor.storage import TelemetryStore
 
@@ -61,6 +81,9 @@ if TYPE_CHECKING:
 DEFAULT_PENDING_IDS = 4096
 
 _DATA_PTYPE = int(PacketType.DATA)
+
+#: One ledger entry: (record timestamp, packet id).
+_Entry = Tuple[float, int]
 
 
 def _remember(ring: "OrderedDict[int, None]", key: int, bound: int) -> None:
@@ -153,7 +176,71 @@ class _PairDelivery:
         return False
 
 
-class TileAggregate:
+class DeliveryLedger:
+    """Windowed, exact :func:`~repro.monitor.metrics.pdr_matrix` counts.
+
+    Per (src, dst) pair it keeps the ``(timestamp, packet_id)`` of each
+    origin OUT and each destination IN that passed ``pdr_matrix``'s
+    filters, so :meth:`table` counts distinct ids over an inclusive
+    ``[since, until]`` exactly as ``pdr_matrix`` does over the same
+    records; a record stamped later than ``until`` stays out of the
+    window until a later query reaches it.
+
+    Memory is bounded by the window, not by history:
+    :meth:`forget_before` drops every entry older than the horizon, and
+    an entry that arrives already older than it is not kept.  A query
+    whose ``since`` lies before the horizon therefore undercounts by
+    the dropped entries.
+    """
+
+    __slots__ = ("_pairs", "_horizon", "_entries")
+
+    def __init__(self) -> None:
+        #: pair -> (origin OUT entries, destination IN entries).
+        self._pairs: Dict[Tuple[int, int], Tuple[List[_Entry], List[_Entry]]] = {}
+        self._horizon = -math.inf
+        self._entries = 0
+
+    def __len__(self) -> int:
+        """Entries held (the memory the ledger costs)."""
+        return self._entries
+
+    def add(self, pair: Tuple[int, int], timestamp: float, packet_id: int, sent: bool) -> None:
+        """Keep one origin OUT (``sent``) or destination IN of ``pair``."""
+        if timestamp < self._horizon:
+            return  # no later window reaches it
+        entries = self._pairs.get(pair)
+        if entries is None:
+            entries = self._pairs[pair] = ([], [])
+        entries[0 if sent else 1].append((timestamp, packet_id))
+        self._entries += 1
+
+    def table(self, since: float, until: float) -> PairTable:
+        """``{(src, dst): (sent, delivered)}`` over ``[since, until]``."""
+        table: PairTable = {}
+        for pair, (outs, ins) in self._pairs.items():
+            sent = {packet_id for ts, packet_id in outs if since <= ts <= until}
+            delivered = {packet_id for ts, packet_id in ins if since <= ts <= until}
+            if sent or delivered:
+                table[pair] = (len(sent), len(delivered & sent))
+        return table
+
+    def forget_before(self, horizon: float) -> None:
+        """Drop every entry stamped before ``horizon`` (never moves back)."""
+        if horizon <= self._horizon:
+            return
+        self._horizon = horizon
+        kept = 0
+        for pair, (outs, ins) in list(self._pairs.items()):
+            outs[:] = [entry for entry in outs if entry[0] >= horizon]
+            ins[:] = [entry for entry in ins if entry[0] >= horizon]
+            if not outs and not ins:
+                del self._pairs[pair]
+            kept += len(outs) + len(ins)
+        self._entries = kept
+
+
+class TileAggregate(AlertInputs):
     """Everything a fleet tile needs, maintained incrementally at ingest.
 
     The ingest path calls :meth:`observe_batch` / :meth:`observe_packet`
@@ -162,6 +249,11 @@ class TileAggregate:
     no store access: :meth:`pdr` is O(1), and :meth:`health` runs the
     formula only for the nodes whose inputs changed since the previous
     read or that went silent for more than one report interval.
+
+    It is also what the shard's alert engine sweeps
+    (:class:`~repro.monitor.alerts.AlertInputs`): :meth:`node_deltas`
+    from the node snapshots, :meth:`pair_deliveries` from the windowed
+    :attr:`deliveries` ledger.
     """
 
     def __init__(self, pending_ids: int = DEFAULT_PENDING_IDS) -> None:
@@ -171,6 +263,8 @@ class TileAggregate:
         #: Unique unicast DATA ids sent / matched, summed over all pairs.
         self._sent = 0
         self._matched = 0
+        #: The windowed delivery ledger the low-PDR sweep reads.
+        self.deliveries = DeliveryLedger()
 
     # -- feeding ---------------------------------------------------------------
 
@@ -181,8 +275,7 @@ class TileAggregate:
             self._nodes[node] = telemetry
         return telemetry
 
-    def _pair(self, src: int, dst: int) -> _PairDelivery:
-        key = (src, dst)
+    def _pair(self, key: Tuple[int, int]) -> _PairDelivery:
         pair = self._pairs.get(key)
         if pair is None:
             pair = _PairDelivery(self._pending_ids)
@@ -202,10 +295,12 @@ class TileAggregate:
         self._node(record.node)  # the observer is a known node
         if record.ptype != _DATA_PTYPE or record.dst == BROADCAST:
             return
+        pair = (record.src, record.dst)
         if record.direction is Direction.OUT:
             if record.node != record.src or record.attempt != 1:
                 return
-            matched = self._pair(record.src, record.dst).observe_out(record.packet_id)
+            self.deliveries.add(pair, record.timestamp, record.packet_id, sent=True)
+            matched = self._pair(pair).observe_out(record.packet_id)
             if matched is None:
                 return  # a repeated origin report of an id already counted
             source = self._nodes[record.src]
@@ -214,7 +309,8 @@ class TileAggregate:
         else:
             if record.node != record.dst:
                 return
-            matched = self._pair(record.src, record.dst).observe_in(record.packet_id)
+            self.deliveries.add(pair, record.timestamp, record.packet_id, sent=False)
+            matched = self._pair(pair).observe_in(record.packet_id)
             if not matched:
                 return
             # A match needs the origin's OUT, so the source is known.
@@ -277,6 +373,20 @@ class TileAggregate:
             duty_utilisation=telemetry.duty_utilisation,
             queue_depth=telemetry.queue_depth,
         )
+
+    def node_deltas(self) -> List[NodeDelta]:
+        """Every known node's :meth:`node_delta`, sorted by node (the
+        order and the node set of ``store.nodes()``)."""
+        return [self.node_delta(node) for node in sorted(self._nodes)]
+
+    def pair_deliveries(self, since: float, until: float) -> PairTable:
+        """The ledger's windowed ``pdr_matrix`` counts (see
+        :class:`DeliveryLedger` for what a query before its horizon
+        returns)."""
+        return self.deliveries.table(since, until)
+
+    def forget_before(self, horizon: float) -> None:
+        self.deliveries.forget_before(horizon)
 
     @property
     def node_count(self) -> int:

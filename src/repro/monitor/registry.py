@@ -51,7 +51,8 @@ class NetworkShard:
     :class:`~repro.monitor.rollup.IncrementalRollup` whose dirty buckets
     become ``rollup-update`` stream events, and an
     :class:`~repro.monitor.alerts.AlertEngine` evaluated O(delta) via
-    :meth:`~repro.monitor.alerts.AlertEngine.observe`.
+    :meth:`~repro.monitor.alerts.AlertEngine.observe` and swept from the
+    tile aggregates, so neither path reads the store.
     """
 
     def __init__(self, network_id: str, store: TelemetryStore) -> None:
@@ -63,8 +64,10 @@ class NetworkShard:
         self.tile.seed_from_store(store)
         #: Per-network traffic rollup fed record-by-record.
         self.rollup = IncrementalRollup(interval_s=SHARD_ROLLUP_INTERVAL_S)
-        #: Per-network alert state driven by the O(delta) observe path.
+        #: Per-network alert state: the O(delta) observe path and the
+        #: periodic sweep both judge the tile's in-memory state.
         self.alerts = AlertEngine(store)
+        self.alerts.inputs = self.tile
         #: Per-node dedup windows, private to this network — the same
         #: node address in two networks never shares a window.
         self.packet_windows: Dict[int, SeqWindow] = {}

@@ -177,8 +177,8 @@ ROUTES: Tuple[Route, ...] = (
         name="server-metrics",
         method="GET",
         pattern="/api/v1/server",
-        summary="Server self-metrics: ingest/dedup/queue/flush counters.",
-        response="object: ingestion counters, queue state, per-store flush stats",
+        summary="Server self-metrics: ingest/dedup/queue/flush counters and alert-sweep latency.",
+        response="object: ingestion counters, queue state, per-store flush stats, alert sweeps and their latency",
     ),
     Route(
         name="stream",

@@ -50,7 +50,8 @@ Observability ("monitor the monitor")
 does — batches/records ingested, dedup hits, decode failures, queue
 depth high-water mark, rejected/dropped batches, quota rejections — and
 :meth:`MonitorServer.self_metrics_document` adds the store flush count
-and latencies, read from the stores on each request.  It is exposed as
+and latencies, read from the stores on each request, and the alert
+sweeps' count and wall latency.  It is exposed as
 ``GET /api/v1/server`` by :mod:`repro.monitor.httpapi` and rendered in
 the dashboard's ``[server]`` panel.
 """
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+import time
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Union
 
@@ -178,6 +180,10 @@ class MonitorServer:
         self._last_alert_sweep_at: Optional[float] = None  # guarded-by: _lock
         #: Full-rule sweeps run over the server's lifetime.
         self.alert_sweeps = 0  # guarded-by: _lock
+        #: Wall time of the last, slowest and all sweeps together.
+        self._sweep_last_s = 0.0  # guarded-by: _lock
+        self._sweep_max_s = 0.0  # guarded-by: _lock
+        self._sweep_total_s = 0.0  # guarded-by: _lock
         self._queue: Deque[RecordBatch] = deque()  # guarded-by: _lock
         self._transports: List[IngestTransport] = []  # guarded-by: _lock
         #: Push-pipeline fan-out.  The ingest path publishes while
@@ -488,9 +494,20 @@ class MonitorServer:
         ingest cadence, and the HTTP tier runs a timer so a fleet that
         goes entirely silent still raises; library users driving their
         own clock can call it directly.
+
+        Each shard's engine judges the shard's in-memory aggregates
+        (:class:`~repro.monitor.fleet.TileAggregate`), so a sweep reads
+        no store and holds the server lock for O(nodes + one window of
+        unicast DATA records) per shard.  After a sweep the delivery
+        ledger forgets records older than the sweep's widest window
+        start; a later direct call with an earlier ``now`` therefore
+        judges low PDR from fewer records than the store holds.  The
+        sweep's wall time is reported as ``alert_sweep_latency_*_ms``
+        by :meth:`self_metrics_document`.
         """
         raised_all: List["Alert"] = []
         with self._lock:
+            started = time.perf_counter()
             if now is None:
                 now = self._clock()
             self._last_alert_sweep_at = now
@@ -510,6 +527,10 @@ class MonitorServer:
                     data["cleared_at"] = now
                     self.stream.publish(topic, "alert-cleared", data, at=now)
                 raised_all.extend(raised)
+            elapsed = time.perf_counter() - started
+            self._sweep_last_s = elapsed
+            self._sweep_max_s = max(self._sweep_max_s, elapsed)
+            self._sweep_total_s += elapsed
         return raised_all
 
     def maybe_sweep_alerts(self, now: Optional[float] = None) -> List["Alert"]:
@@ -730,6 +751,9 @@ class MonitorServer:
                     "alerts_history_len": alerts_history_len,
                     "alerts_active": alerts_active,
                     "alert_sweeps": self.alert_sweeps,
+                    "alert_sweep_latency_last_ms": self._sweep_last_s * 1000.0,
+                    "alert_sweep_latency_max_ms": self._sweep_max_s * 1000.0,
+                    "alert_sweep_latency_total_ms": self._sweep_total_s * 1000.0,
                     "alert_sweep_interval_s": self.alert_sweep_interval_s,
                 }
             )

@@ -288,8 +288,11 @@ class SqliteMetricsStore(TelemetryStore):
     def flush(self) -> bool:
         """Write all buffered records via ``executemany`` and commit.
 
-        Returns True when anything was pending.
+        Returns True when anything was pending; a closed store has
+        nothing left to flush and returns False.
         """
+        if self._closed:
+            return False
         pending = self.pending_records
         if not pending:
             self._conn.commit()  # cover note_batch-only writes

@@ -130,6 +130,15 @@ class TestClose:
         registry.close()
         assert all(store.flushed == 1 and store.closed == 1 for store in stores)
 
+    def test_close_twice_over_sqlite_stores(self):
+        from repro.monitor.sqlitestore import SqliteMetricsStore
+
+        registry = NetworkRegistry(store_factory=lambda network_id: SqliteMetricsStore())
+        registry.get_or_create("n0")
+        registry.get_or_create("n1")
+        registry.close()
+        registry.close()  # idempotent, as documented
+
     def test_shard_counters_serialise(self):
         registry = NetworkRegistry()
         shard = registry.get_or_create("site")

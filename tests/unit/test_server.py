@@ -251,6 +251,31 @@ class TestSelfMetrics:
         assert document["store"]["records_flushed"] >= 1
         store.close()
 
+    def test_alert_sweep_latency_reported(self):
+        server = MonitorServer()
+        server.ingest(batch(packets=[packet_record(seq=0)]))
+        document = server.self_metrics_document()
+        for key in (
+            "alert_sweep_latency_last_ms",
+            "alert_sweep_latency_max_ms",
+            "alert_sweep_latency_total_ms",
+        ):
+            assert document[key] == 0.0  # no sweep yet
+        server.sweep_alerts(now=10.0)
+        server.sweep_alerts(now=20.0)
+        document = server.self_metrics_document()
+        assert document["alert_sweeps"] == 2
+        assert 0.0 < document["alert_sweep_latency_last_ms"] <= document["alert_sweep_latency_max_ms"]
+        assert document["alert_sweep_latency_max_ms"] <= document["alert_sweep_latency_total_ms"]
+
+    def test_close_twice_over_sqlite_store(self):
+        from repro.monitor.sqlitestore import SqliteMetricsStore
+        server = MonitorServer(store=SqliteMetricsStore())
+        server.ingest(batch(packets=[packet_record(seq=0)]))
+        server.close()
+        server.close()  # idempotent, as documented
+        assert server.store.flush() is False
+
     def test_explicit_server_flush(self):
         from repro.monitor.sqlitestore import SqliteMetricsStore
         store = SqliteMetricsStore(flush_records=10_000, flush_interval_s=None)
